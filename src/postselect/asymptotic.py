@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .model import (
     RegressionDesign,
     SelectionFamily,
     TargetFunctional,
+    gram_factor,
     scaled_omitted_bias,
 )
 
@@ -80,6 +82,11 @@ class LimitParameter:
     def P(self) -> int:
         return self.psi.size
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of ``Q``."""
+        return gram_factor(self.Q)
+
     @classmethod
     def from_design(cls, design: RegressionDesign, psi, sigma: float) -> "LimitParameter":
         return cls(psi=psi, sigma=sigma, Q=design.gram)
@@ -106,7 +113,7 @@ def limit_bias(limit: LimitParameter, p: int) -> np.ndarray:
     tail = limit.psi[p:]
     if np.any(np.isinf(tail)):
         raise ValueError(f"bias at order {p} undefined: divergent entries above p")
-    return scaled_omitted_bias(limit.Q, tail, p)
+    return scaled_omitted_bias(limit.factor, tail, p)
 
 
 def limit_engine(
@@ -128,7 +135,7 @@ def limit_engine(
         q: biases[q][q - 1] + limit.psi[q - 1] for q in range(lo + 1, limit.P + 1)
     }
     return MixtureEngine(
-        gram=limit.Q,
+        factor=limit.factor,
         sigma=limit.sigma,
         family=family,
         p_lo=lo,

@@ -266,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="stream seed (overrides config)")
         p.add_argument("--replications", type=int, help="MC replications (overrides config)")
-        p.add_argument("--grid", help="evaluation grid LO:HI:COUNT (overrides config)")
+        p.add_argument("--grid", help="evaluation grid, written --grid=LO:HI:COUNT so a "
+                       "negative LO is not read as an option (overrides config)")
         p.add_argument("--variant", choices=["known", "unknown"],
                        help="selector variant (overrides config)")
     return parser

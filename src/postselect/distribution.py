@@ -36,6 +36,7 @@ from .model import (
     RegressionDesign,
     SelectionFamily,
     TargetFunctional,
+    _numerical_rank,
     design_from_gram,
     restricted_ls_mean,
 )
@@ -89,7 +90,7 @@ def finite_sample_engine(
         eta_q = etas.get(q)
         centers[q] = rootn * eta_q[q - 1]
     return MixtureEngine(
-        gram=design.gram,
+        factor=design.factor,
         sigma=params.sigma,
         family=family,
         p_lo=O,
@@ -120,10 +121,7 @@ def _check_density_exists(family: SelectionFamily, target: TargetFunctional) -> 
         raise DensityUndefinedError(
             "minimal order 0 puts an atom at the origin: no Lebesgue density"
         )
-    lead = target.A[:, :O]
-    s = np.linalg.svd(lead, compute_uv=False)
-    tol = max(target.A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if int(np.sum(s > tol)) < target.k:
+    if _numerical_rank(target.A[:, :O]) < target.k:
         raise DensityUndefinedError(
             "leading transform block is rank deficient: some components are degenerate"
         )

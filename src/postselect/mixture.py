@@ -9,10 +9,10 @@ integral whose integrand removes the mass on which the order-p test accepts.
 The unknown-scale variant smooths every interval probability against the
 scaled-chi law of the residual scale estimate.
 
-The engine is parameterized by the Gram matrix, the interval centers, and the
-component mean shifts, so the finite-sample case (centers sqrt(n) eta_p(p),
-shifts sqrt(n) A (eta(p) - theta)) and the limit case (centers delta_p + psi_p,
-shifts A delta(p)) share all code.
+The engine is parameterized by the Cholesky factor of the Gram matrix, the
+interval centers, and the component mean shifts, so the finite-sample case
+(centers sqrt(n) eta_p(p), shifts sqrt(n) A (eta(p) - theta)) and the limit
+case (centers delta_p + psi_p, shifts A delta(p)) share all code.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from .kernels import (
 from .model import (
     GaussianComponent,
     SelectionFamily,
+    _numerical_rank,
     component_covariance,
-    conditional_from_gram,
-    xi_from_gram,
+    conditional_from_factor,
+    xi_from_factor,
 )
 
 __all__ = ["DistributionResult", "MixtureEngine"]
@@ -63,8 +64,9 @@ class DistributionResult:
 
 
 class MixtureEngine:
-    """Evaluator bound to one (gram, sigma, family, target, centers, shifts) tuple.
+    """Evaluator bound to one (factor, sigma, family, target, centers, shifts) tuple.
 
+    ``factor`` is the lower Cholesky factor of the Gram matrix (``gram_factor``).
     ``h_df`` selects the variant: None evaluates the known-scale forms (all
     interval probabilities at unit residual scale), an integer m smooths them
     against the scaled-chi density with m degrees of freedom.
@@ -72,7 +74,7 @@ class MixtureEngine:
 
     def __init__(
         self,
-        gram: np.ndarray,
+        factor: np.ndarray,
         sigma: float,
         family: SelectionFamily,
         p_lo: int,
@@ -81,12 +83,12 @@ class MixtureEngine:
         A: np.ndarray | None = None,
         h_df: int | None = None,
     ) -> None:
-        self.gram = np.asarray(gram, dtype=float)
+        self.factor = np.asarray(factor, dtype=float)
         self.sigma = float(sigma)
         self.family = family
         self.P = family.P
-        if self.gram.shape != (self.P, self.P):
-            raise ValueError("gram shape inconsistent with family")
+        if self.factor.shape != (self.P, self.P):
+            raise ValueError("factor shape inconsistent with family")
         if not family.min_order <= p_lo <= self.P:
             raise ValueError("p_lo outside the candidate range")
         self.p_lo = int(p_lo)
@@ -101,7 +103,7 @@ class MixtureEngine:
         self.h_df = None if h_df is None else int(h_df)
         if self.h_df is not None and self.h_df < 1:
             raise ValueError("h_df must be >= 1")
-        self._xi = {q: xi_from_gram(self.gram, q) for q in range(p_lo + 1, self.P + 1)}
+        self._xi = {q: xi_from_factor(self.factor, q) for q in range(p_lo + 1, self.P + 1)}
         self._cond: dict[int, tuple[np.ndarray, float]] = {}
         self._comp: dict[int, GaussianComponent] = {}
         self._weight_cache: dict[tuple, QuadResult] = {}
@@ -117,7 +119,7 @@ class MixtureEngine:
         if p not in self._cond:
             if self.A is None:
                 raise ValueError("engine built without a target transform")
-            _, b, zeta_sq = conditional_from_gram(self.gram, self.A, p)
+            _, b, zeta_sq = conditional_from_factor(self.factor, self.A, p)
             self._cond[p] = (b, math.sqrt(zeta_sq))
         return self._cond[p]
 
@@ -125,13 +127,8 @@ class MixtureEngine:
         if p not in self._comp:
             if self.A is None or self.shifts is None:
                 raise ValueError("engine built without a target transform")
-            cov = component_covariance(self.gram, self.A, self.sigma, p)
-            if p == 0:
-                rank = 0
-            else:
-                s = np.linalg.svd(self.A[:, :p], compute_uv=False)
-                tol = max(self.A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-                rank = int(np.sum(s > tol))
+            cov = component_covariance(self.factor, self.A, self.sigma, p)
+            rank = _numerical_rank(self.A[:, :p])
             self._comp[p] = GaussianComponent(
                 mean_shift=self.shifts[p], covariance=cov, rank=rank
             )
@@ -323,12 +320,15 @@ class MixtureEngine:
 
     # -- assembly -----------------------------------------------------------------
 
-    def _assemble(self, results: list[QuadResult], clip_unit: bool) -> DistributionResult:
-        n_orders = self.P - self.family.min_order + 1
-        terms = np.zeros(n_orders)
+    def _assemble(self, term, t, spec: QuadratureSpec, clip_unit: bool) -> DistributionResult:
+        """Sum ``term(p, t, spec)`` over the candidate orders."""
+        if np.any(np.isnan(np.asarray(t, dtype=float))):
+            raise ValueError("evaluation point t must not be NaN")
+        terms = np.zeros(self.P - self.family.min_order + 1)
         err = 0.0
         ok = True
-        for p, res in zip(range(self.p_lo, self.P + 1), results):
+        for p in range(self.p_lo, self.P + 1):
+            res = term(p, t, spec)
             terms[p - self.family.min_order] = res.value
             err += res.err_est
             ok = ok and res.converged
@@ -337,9 +337,7 @@ class MixtureEngine:
         return DistributionResult(value=value, per_model_terms=terms, err_est=err, converged=ok)
 
     def cdf(self, t, spec: QuadratureSpec = DEFAULT_SPEC) -> DistributionResult:
-        results = [self.term_cdf(p, t, spec) for p in range(self.p_lo, self.P + 1)]
-        return self._assemble(results, clip_unit=True)
+        return self._assemble(self.term_cdf, t, spec, clip_unit=True)
 
     def density(self, t, spec: QuadratureSpec = DEFAULT_SPEC) -> DistributionResult:
-        results = [self.term_density(p, t, spec) for p in range(self.p_lo, self.P + 1)]
-        return self._assemble(results, clip_unit=False)
+        return self._assemble(self.term_density, t, spec, clip_unit=False)

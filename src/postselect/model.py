@@ -4,9 +4,9 @@ The model is Y = X theta + u with u ~ N(0, sigma^2 I_n) and a fixed n x P
 design of full column rank.  Candidate models are nested by order: model p
 keeps the first p regressors.  Every deterministic quantity needed by the
 distribution formulas is a function of the scaled Gram matrix Q = X'X/n (plus
-n), which is why the helpers here take a Gram matrix directly; the
-large-sample module reuses them verbatim with the limit matrix in place of
-X'X/n.
+n).  The helpers take its lower Cholesky factor L, whose leading blocks
+factor every Q[:p, :p]; the large-sample module reuses them verbatim with
+the factor of the limit matrix in place of that of X'X/n.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "IllConditionedError",
@@ -29,8 +29,9 @@ __all__ = [
     "xi",
     "conditional_quantities",
     "gaussian_component",
-    "xi_from_gram",
-    "conditional_from_gram",
+    "gram_factor",
+    "xi_from_factor",
+    "conditional_from_factor",
     "component_covariance",
     "mean_adjustment",
     "scaled_omitted_bias",
@@ -41,15 +42,14 @@ __all__ = [
 # Relative singular-value threshold used for all numerical rank decisions.
 _RANK_REL_TOL = np.finfo(float).eps
 
-# Computed zeta^2 values within ZETA_CLAMP of 0 are snapped to 0 so exactly
-# degenerate cases (perfectly predicted test statistic) land on the
-# indicator branch despite roundoff; values below -ZETA_CLAMP signal a
-# broken input.
-_ZETA_CLAMP = 1e-12
+# zeta^2 below this fraction of xi^2 is snapped to 0, so cases that are
+# degenerate in exact arithmetic (transform determines the tested
+# coefficient) land on the indicator branch despite roundoff.
+_ZETA_REL_SNAP = 1e-12
 
 
 class IllConditionedError(ValueError):
-    """A required sub-Gram matrix is numerically singular."""
+    """A Gram matrix is not numerically positive definite."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -96,6 +96,17 @@ class RegressionDesign:
     @cached_property
     def gram(self) -> np.ndarray:
         return _readonly(self.X.T @ self.X / self.n)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of ``gram``."""
+        return gram_factor(self.gram)
+
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced QR factors (Q, R) of X; R[:p, :p] is the R factor of X[:, :p]."""
+        q, r = np.linalg.qr(self.X)
+        return _readonly(q), _readonly(r)
 
 
 @dataclass(frozen=True)
@@ -218,32 +229,35 @@ def order_of(theta) -> int:
     return int(nz[-1] + 1) if nz.size else 0
 
 
-def _leading_solve(gram: np.ndarray, p: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram[:p, :p] x = rhs via Cholesky; raises on numerical non-PD."""
+def gram_factor(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a Gram matrix (gram = L L'); raises
+    ``IllConditionedError`` when it is not numerically positive definite."""
     try:
-        chol = cho_factor(gram[:p, :p], lower=True)
+        return _readonly(np.linalg.cholesky(np.asarray(gram, dtype=float)))
     except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"leading {p} x {p} Gram block is singular") from exc
-    return cho_solve(chol, rhs)
+        raise IllConditionedError("Gram matrix is not positive definite") from exc
 
 
-def mean_adjustment(gram: np.ndarray, p: int) -> np.ndarray:
-    """p x (P-p) block Q[:p,:p]^{-1} Q[:p,p:] mapping excluded to included means."""
-    P = gram.shape[0]
+def mean_adjustment(L: np.ndarray, p: int) -> np.ndarray:
+    """p x (P-p) block Q[:p,:p]^{-1} Q[:p,p:] mapping excluded to included means.
+
+    With Q = L L' this block is L[:p,:p]^{-T} L[p:,:p]'.
+    """
+    P = L.shape[0]
     if p == 0 or p == P:
         return np.zeros((p, P - p))
-    return _leading_solve(gram, p, gram[:p, p:])
+    return solve_triangular(L[:p, :p], L[p:, :p].T, lower=True, trans="T")
 
 
-def scaled_omitted_bias(gram: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
+def scaled_omitted_bias(L: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
     """Bias vector of the order-p fit induced by excluded components ``tail``.
 
-    Returns the length-P vector (Q[:p,:p]^{-1} Q[:p,p:] tail, -tail).  Feeding
-    tail = sqrt(n) * theta[p:] gives the scaled finite-sample bias of the
-    restricted fit; feeding the tail of a limiting local parameter gives the
-    large-sample bias.
+    Returns the length-P vector (Q[:p,:p]^{-1} Q[:p,p:] tail, -tail), with L
+    the Cholesky factor of Q.  Feeding tail = sqrt(n) * theta[p:] gives the
+    scaled finite-sample bias of the restricted fit; feeding the tail of a
+    limiting local parameter gives the large-sample bias.
     """
-    P = gram.shape[0]
+    P = L.shape[0]
     tail = np.asarray(tail, dtype=float)
     if tail.shape != (P - p,):
         raise ValueError("tail must have length P - p")
@@ -251,7 +265,7 @@ def scaled_omitted_bias(gram: np.ndarray, tail: np.ndarray, p: int) -> np.ndarra
     if p < P:
         out[p:] = -tail
         if p > 0:
-            out[:p] = mean_adjustment(gram, p) @ tail
+            out[:p] = mean_adjustment(L, p) @ tail
     return out
 
 
@@ -269,69 +283,64 @@ def restricted_ls_mean(design: RegressionDesign, theta, p: int) -> np.ndarray:
         raise ValueError(f"order {p} outside [0, {P}]")
     out = np.zeros(P)
     if p > 0:
-        out[:p] = theta[:p] + mean_adjustment(design.gram, p) @ theta[p:]
+        out[:p] = theta[:p] + mean_adjustment(design.factor, p) @ theta[p:]
     return out
 
 
-def xi_from_gram(gram: np.ndarray, p: int) -> float:
-    """sqrt of the (p,p) entry of the inverse leading p x p Gram block."""
-    P = gram.shape[0]
+def xi_from_factor(L: np.ndarray, p: int) -> float:
+    """sqrt of the (p,p) entry of Q[:p,:p]^{-1}, which is 1 / L[p-1, p-1]."""
+    P = L.shape[0]
     if not 0 < p <= P:
         raise ValueError(f"order {p} outside (0, {P}]")
-    e = np.zeros(p)
-    e[-1] = 1.0
-    val = float(_leading_solve(gram, p, e)[-1])
-    return float(np.sqrt(val))
+    return float(1.0 / L[p - 1, p - 1])
 
 
 def xi(design: RegressionDesign, p: int) -> float:
     """Scale of the p-th coefficient estimate in the order-p fit (times sqrt(n)/sigma)."""
-    return xi_from_gram(design.gram, p)
+    return xi_from_factor(design.factor, p)
 
 
-def conditional_from_gram(gram: np.ndarray, A: np.ndarray, p: int):
+def conditional_from_factor(L: np.ndarray, A: np.ndarray, p: int):
     """Regression quantities of the p-th coefficient on the transformed fit.
 
     Returns (C, b, zeta_sq): C is the covariance vector between the
     transformed order-p fit and its p-th coefficient, b the conditional
     regression row (Moore-Penrose generalized inverse), and zeta_sq the
-    conditional variance factor xi^2 - b C, clamped at zero when roundoff
-    makes an exactly degenerate case slightly negative.
+    conditional variance factor xi^2 - b C.
+
+    With W = L[:p,:p]^{-1} A[:, :p]' and v = e_p / L[p-1, p-1] (so xi^2 = v'v),
+    C = W'v, b = W^+ v, and zeta_sq is the squared norm of the part of v
+    orthogonal to the columns of W.  One SVD of W gives all three; zeta_sq is
+    nonnegative, and exactly 0 when W has rank p.  rank(W) = rank(A[:, :p])
+    is decided on A, so roundoff in W adds no direction.
     """
-    P = gram.shape[0]
-    if not 0 < p <= P:
-        raise ValueError(f"order {p} outside (0, {P}]")
+    v = xi_from_factor(L, p) * np.eye(p)[-1]
     Ap = np.atleast_2d(np.asarray(A, dtype=float))[:, :p]
-    e = np.zeros(p)
-    e[-1] = 1.0
-    S_e = _leading_solve(gram, p, e)
-    C = Ap @ S_e
-    M = Ap @ _leading_solve(gram, p, Ap.T)
-    M = 0.5 * (M + M.T)
-    b = C @ np.linalg.pinv(M, rcond=max(M.shape) * _RANK_REL_TOL)
-    zeta_sq = xi_from_gram(gram, p) ** 2 - float(b @ C)
-    if zeta_sq <= -_ZETA_CLAMP:
-        raise IllConditionedError(
-            f"conditional variance factor {zeta_sq} significantly negative"
-        )
-    if abs(zeta_sq) < _ZETA_CLAMP:
+    W = solve_triangular(L[:p, :p], Ap.T, lower=True)
+    r = _numerical_rank(Ap)
+    U, s, Vt = np.linalg.svd(W)
+    coords = U.T @ v
+    C = W.T @ v
+    b = Vt[:r].T @ (coords[:r] / s[:r])
+    zeta_sq = float(coords[r:] @ coords[r:])
+    if zeta_sq < _ZETA_REL_SNAP * float(v @ v):
         zeta_sq = 0.0
     return C, b, zeta_sq
 
 
 def conditional_quantities(design: RegressionDesign, target: TargetFunctional, p: int):
     """Conditional-regression quantities (C, b, zeta_sq) for the order-p fit."""
-    return conditional_from_gram(design.gram, target.A, p)
+    return conditional_from_factor(design.factor, target.A, p)
 
 
-def component_covariance(gram: np.ndarray, A: np.ndarray, sigma: float, p: int) -> np.ndarray:
-    """sigma^2 A[:p] (gram[:p,:p])^{-1} A[:p]' (k x k, zero matrix at p = 0)."""
+def component_covariance(L: np.ndarray, A: np.ndarray, sigma: float, p: int) -> np.ndarray:
+    """sigma^2 A[:p] (Q[:p,:p])^{-1} A[:p]' (k x k, zero matrix at p = 0)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     k = A.shape[0]
     if p == 0:
         return np.zeros((k, k))
-    Ap = A[:, :p]
-    cov = sigma**2 * (Ap @ _leading_solve(gram, p, Ap.T))
+    W = solve_triangular(L[:p, :p], A[:, :p].T, lower=True)
+    cov = sigma**2 * (W.T @ W)
     return 0.5 * (cov + cov.T)
 
 
@@ -348,7 +357,7 @@ def gaussian_component(
     rootn = np.sqrt(design.n)
     eta = restricted_ls_mean(design, params.theta, p)
     mean_shift = rootn * (target.A @ (eta - params.theta))
-    cov = component_covariance(design.gram, target.A, params.sigma, p)
+    cov = component_covariance(design.factor, target.A, params.sigma, p)
     rank = 0 if p == 0 else _numerical_rank(target.A[:, :p])
     return GaussianComponent(mean_shift=mean_shift, covariance=cov, rank=rank)
 

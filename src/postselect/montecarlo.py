@@ -18,15 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
+from scipy.linalg import solve_triangular
 
+from .config import ConfigError
 from .model import (
     ParameterPoint,
     RegressionDesign,
     SelectionFamily,
     TargetFunctional,
-    xi_from_gram,
 )
 from .kernels import normals_from_stream
+from .selection import _largest_admissible, _tstats_and_scale
 
 __all__ = [
     "SimulationReport",
@@ -43,9 +45,11 @@ _VARIANTS = ("known", "unknown")
 
 def _worker_count() -> int:
     env = os.environ.get("POSTSEL_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"POSTSEL_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _block_rows(n: int) -> int:
@@ -82,11 +86,10 @@ def _simulate_block(
     rows: int,
     design: RegressionDesign,
     family: SelectionFamily,
-    ops,
-    A: np.ndarray,
     params: ParameterPoint,
     variant: str,
-    xis: np.ndarray,
+    maps: dict[int, np.ndarray],
+    base: np.ndarray,
 ):
     n, P = design.n, design.P
     O = family.min_order
@@ -94,33 +97,15 @@ def _simulate_block(
     u = normals_from_stream(stream, (rows, n))
     Y = (design.X @ params.theta)[None, :] + params.sigma * u  # (rows, n)
 
-    coefs = [None] * (P + 1)
-    for p in range(1, P + 1):
-        coefs[p] = ops[p] @ Y.T  # (p, rows)
+    scale = None if variant == "unknown" else params.sigma
+    t, _, z = _tstats_and_scale(design, Y, scale)
+    selected = _largest_admissible(family, t)
 
-    resid = Y.T - design.X @ coefs[P]
-    if variant == "unknown":
-        scale = np.sqrt(np.sum(resid * resid, axis=0) / (n - P))
-    else:
-        scale = np.full(rows, params.sigma)
-
-    rootn = math.sqrt(n)
-    selected = np.full(rows, O, dtype=np.int64)
-    for p in range(O + 1, P + 1):
-        t_p = rootn * coefs[p][p - 1, :] / (scale * xis[p])
-        selected[np.abs(t_p) >= family.critical(p)] = p
-
-    k = A.shape[0]
-    draws = np.empty((rows, k))
-    base = -rootn * (A @ params.theta)  # order-0 fit is identically zero
+    draws = np.empty((rows, base.size))
     for p in range(O, P + 1):
         mask = selected == p
-        if not np.any(mask):
-            continue
-        if p == 0:
-            draws[mask] = base
-        else:
-            draws[mask] = (rootn * (A[:, :p] @ coefs[p][:, mask])).T + base
+        if np.any(mask):
+            draws[mask] = base if p == 0 else (maps[p] @ z[:p, mask]).T + base
     return draws, selected
 
 
@@ -148,21 +133,22 @@ def simulate(
     if family.P != design.P or target.P != design.P:
         raise ValueError("family/target inconsistent with design")
 
-    from .selection import restricted_fit_operators
-
-    ops = restricted_fit_operators(design)
-    xis = np.zeros(design.P + 1)
-    for p in range(1, design.P + 1):
-        xis[p] = xi_from_gram(design.gram, p)
+    # the order-p draw is sqrt(n) A[:, :p] R[:p,:p]^{-1} (Q'y)[:p] + base, the
+    # restricted fit mapped through the target; the order-0 fit is zero
+    _, r = design.qr
+    rootn = math.sqrt(design.n)
+    maps = {
+        p: rootn * solve_triangular(r[:p, :p], target.A[:, :p].T, trans="T").T
+        for p in range(max(family.min_order, 1), design.P + 1)
+    }
+    base = -rootn * (target.A @ params.theta)
 
     rows = _block_rows(design.n)
     n_blocks = (R + rows - 1) // rows
     sizes = [rows] * (n_blocks - 1) + [R - rows * (n_blocks - 1)]
 
     def run(b: int):
-        return _simulate_block(
-            seed, b, sizes[b], design, family, ops, target.A, params, variant, xis
-        )
+        return _simulate_block(seed, b, sizes[b], design, family, params, variant, maps, base)
 
     workers = workers if workers is not None else _worker_count()
     if workers > 1 and n_blocks > 1:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import DEFAULT_SPEC, QuadratureSpec
 from .mixture import MixtureEngine
@@ -22,7 +21,6 @@ from .model import (
     RegressionDesign,
     SelectionFamily,
     restricted_ls_mean,
-    xi_from_gram,
 )
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "select_model_known_sigma",
     "selection_prob_known",
     "selection_prob_unknown",
-    "restricted_fit_operators",
     "selection_engine",
 ]
 
@@ -56,70 +53,72 @@ class SelectionOutcome:
     sigma_hat: float
 
 
-def restricted_fit_operators(design: RegressionDesign):
-    """Per-order least-squares solve operators from the QR of each leading block.
+def _tstats_and_scale(design: RegressionDesign, Y, scale=None):
+    """t-ratios of every nested order for each row of Y, from one QR of X.
 
-    Returns a list whose p-th entry (1-based) is the (p, n) matrix mapping Y
-    to the nonzero coefficients of the order-p restricted fit.  Recomputed per
-    order; the number of candidate orders is small.
+    With X = QR, the order-p fit solves R[:p,:p] coef = (Q'y)[:p], so its p-th
+    coefficient is (Q'y)_p / R_pp and its t-ratio sign(R_pp) (Q'y)_p / scale.
+    ``Y`` is (m, n), one response per row; returns (t, scale, z): t is
+    (P + 1, m) with t[0] = 0, scale the (m,) residual scales of the full
+    model (or the given scale), and z = Q'Y', whose column i is Q'y_i.
     """
-    ops = [None]
-    for p in range(1, design.P + 1):
-        q, r = np.linalg.qr(design.X[:, :p])
-        ops.append(solve_triangular(r, q.T))
-    return ops
-
-
-def _tstats_and_scale(design, Y, scale=None):
     Y = np.asarray(Y, dtype=float)
-    if Y.shape != (design.n,):
+    if Y.ndim != 2 or Y.shape[1] != design.n:
         raise ValueError(f"Y must have length {design.n}")
-    ops = restricted_fit_operators(design)
-    coef_full = ops[design.P] @ Y
+    q, r = design.qr
+    z = q.T @ Y.T
     if scale is None:
-        resid = Y - design.X @ coef_full
-        rss = float(resid @ resid)
+        resid = z.T @ q.T
+        np.subtract(Y, resid, out=resid)
+        rss = np.einsum("ij,ij->i", resid, resid)
+        # degenerate up to roundoff: Y lies in the span of X (|y|^2 = |Q'y|^2
+        # + rss); an all-zero fit still gives the well-defined ratios 0,
+        # anything else has no meaningful t-ratios
+        yy = np.einsum("ij,ij->j", z, z) + rss
+        degenerate = rss <= 1e-24 * np.maximum(1.0, yy)
+        if np.any(z[:, degenerate] != 0.0):
+            raise DegenerateResidualError("zero residual: Y lies in the span of X")
         scale = np.sqrt(rss / (design.n - design.P))
-        # degenerate up to roundoff: Y lies in the span of X
-        if np.sqrt(rss) <= 1e-12 * max(1.0, float(np.linalg.norm(Y))):
-            # an all-zero fit still gives the well-defined ratios 0;
-            # anything else has no meaningful t-ratios
-            if np.any(coef_full != 0.0):
-                raise DegenerateResidualError("zero residual: Y lies in the span of X")
-            return np.zeros(design.P + 1), 0.0
-    rootn = np.sqrt(design.n)
-    t = np.zeros(design.P + 1)
-    for p in range(1, design.P + 1):
-        coef_p = ops[p] @ Y if p < design.P else coef_full
-        t[p] = rootn * coef_p[p - 1] / (scale * xi_from_gram(design.gram, p))
-    return t, float(scale)
+        scale[degenerate] = 0.0
+    else:
+        scale = np.full(len(Y), float(scale))
+    t = np.zeros((design.P + 1, len(Y)))
+    # a zero scale comes with z = 0, whose ratios are 0
+    t[1:] = np.sign(np.diag(r))[:, None] * z / np.maximum(scale, np.finfo(float).tiny)
+    return t, scale, z
 
 
-def _largest_admissible(family: SelectionFamily, t: np.ndarray) -> int:
-    for p in range(family.P, family.min_order, -1):
-        if abs(t[p]) >= family.critical(p):
-            return p
-    return family.min_order
+def _largest_admissible(family: SelectionFamily, t: np.ndarray) -> np.ndarray:
+    """Selected order for each column of t: the highest order whose test rejects."""
+    selected = np.full(t.shape[1:], family.min_order)
+    for p in range(family.min_order + 1, family.P + 1):
+        selected[np.abs(t[p]) >= family.critical(p)] = p
+    return selected
+
+
+def _outcome(design: RegressionDesign, family: SelectionFamily, Y, scale=None):
+    if family.P != design.P:
+        raise ValueError("family order range inconsistent with design")
+    Y = np.atleast_1d(np.asarray(Y, dtype=float))
+    t, scale, _ = _tstats_and_scale(design, Y[None, :], scale)
+    t = t[:, 0]
+    return SelectionOutcome(
+        p_hat=int(_largest_admissible(family, t)), t_stats=t, sigma_hat=float(scale[0])
+    )
 
 
 def select_model(Y, design: RegressionDesign, family: SelectionFamily) -> SelectionOutcome:
     """Data-driven selected order using the full-model residual scale estimate."""
-    if family.P != design.P:
-        raise ValueError("family order range inconsistent with design")
-    t, scale = _tstats_and_scale(design, Y)
-    return SelectionOutcome(p_hat=_largest_admissible(family, t), t_stats=t, sigma_hat=scale)
+    return _outcome(design, family, Y)
 
 
 def select_model_known_sigma(
     Y, design: RegressionDesign, family: SelectionFamily, sigma: float
 ) -> SelectionOutcome:
     """Idealized selected order using the true error scale in the t-ratios."""
-    if family.P != design.P:
-        raise ValueError("family order range inconsistent with design")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    t, scale = _tstats_and_scale(design, Y, scale=float(sigma))
-    return SelectionOutcome(p_hat=_largest_admissible(family, t), t_stats=t, sigma_hat=scale)
+    return _outcome(design, family, Y, scale=sigma)
 
 
 def selection_engine(
@@ -138,7 +137,7 @@ def selection_engine(
         for q in range(O + 1, design.P + 1)
     }
     return MixtureEngine(
-        gram=design.gram,
+        factor=design.factor,
         sigma=params.sigma,
         family=family,
         p_lo=O,

@@ -124,6 +124,17 @@ class TestExitCodes:
         assert "--grid" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_malformed_thread_count_is_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("POSTSEL_THREADS", threads)
+        cfg = _write(tmp_path, TWO_REG.format(theta2="0.75", reps=100, grid="-2:2:5"))
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "POSTSEL_THREADS" in err
+
+
 class TestCurves:
     def test_panel_files_and_weights(self, tmp_path):
         cfg = _write(
@@ -160,6 +171,13 @@ class TestCurves:
         for r in rows:
             assert float(r[1]) == pytest.approx(float(r[6]), abs=1e-10)
             assert float(r[2]) == pytest.approx(float(r[6]), abs=1e-12)
+
+    def test_grid_flag_with_negative_start_overrides(self, tmp_path):
+        cfg = _write(tmp_path, TWO_REG.format(theta2="0.75", reps=10, grid="-6:6:25"))
+        out = tmp_path / "out"
+        assert main(["curves", "--config", cfg, "--out", str(out), "--grid=-2:2:5"]) == 0
+        _, rows = _read_table(out / "curves_theta2_0.75.csv")
+        assert [float(r[0]) for r in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_requires_two_regressor(self, tmp_path):
         assert main(["curves", "--config", _write(tmp_path, GENERAL)]) == 2

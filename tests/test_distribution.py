@@ -357,6 +357,20 @@ class TestTwoRegressorClosedForm:
 
 
 class TestResultInvariants:
+    @pytest.mark.parametrize(
+        "entry",
+        ["cdf_known_variance", "cdf_unknown_variance", "density_known_variance", "limit_cdf"],
+    )
+    def test_nan_argument_rejected(self, classic_components, entry):
+        design, family, target, params = classic_components
+        if entry == "limit_cdf":
+            limit = ps.LimitParameter(psi=np.array([np.inf, 2.0]), sigma=1.0, Q=design.gram)
+            args = (limit, family, target)
+        else:
+            args = (design, family, target, params)
+        with pytest.raises(ValueError, match="NaN"):
+            getattr(ps, entry)(*args, float("nan"))
+
     def test_error_estimate_covers_gap(self, classic_components):
         design, family, target, params = classic_components
         res = ps.cdf_unknown_variance(design, family, target, params, 1.1)

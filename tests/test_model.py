@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import postselect as ps
 from postselect.model import (
     IllConditionedError,
-    conditional_from_gram,
+    conditional_from_factor,
     design_from_gram,
+    gram_factor,
     mean_adjustment,
     scaled_omitted_bias,
-    xi_from_gram,
+    xi_from_factor,
 )
 
 
@@ -154,9 +155,11 @@ class TestConditionalQuantities:
         target = ps.TargetFunctional(np.array([[0.0, 1.0]]))
         C, b, zeta_sq = ps.conditional_quantities(d, target, 1)
         assert np.all(C == 0.0)
-        assert zeta_sq == pytest.approx(xi_from_gram(d.gram, 1) ** 2)
+        assert zeta_sq == pytest.approx(xi_from_factor(d.factor, 1) ** 2)
 
     @given(st.integers(0, 10**6))
+    @example(387697)  # k = p: the conditional scale is exactly zero
+    @example(52974)  # k = p with an ill-conditioned target block
     def test_zeta_between_zero_and_xi(self, seed):
         rng = np.random.default_rng(seed)
         P = int(rng.integers(1, 5))
@@ -165,8 +168,11 @@ class TestConditionalQuantities:
         k = int(rng.integers(1, P + 1))
         A = rng.standard_normal((k, P))
         p = int(rng.integers(1, P + 1))
-        _, _, zeta_sq = conditional_from_gram(gram, A, p)
-        assert 0.0 <= zeta_sq <= xi_from_gram(gram, p) ** 2 + 1e-10
+        L = gram_factor(gram)
+        _, _, zeta_sq = conditional_from_factor(L, A, p)
+        assert 0.0 <= zeta_sq <= xi_from_factor(L, p) ** 2 + 1e-10
+        if k == p:
+            assert zeta_sq == 0.0
 
     @given(st.integers(0, 10**6))
     def test_generalized_inverse_invariance(self, seed):
@@ -179,7 +185,7 @@ class TestConditionalQuantities:
         base = rng.standard_normal((P + 3, P))
         gram = base.T @ base / (P + 3) + 0.5 * np.eye(P)
         A = rng.standard_normal((k, P))
-        C, b, _ = conditional_from_gram(gram, A, p)
+        C, b, _ = conditional_from_factor(gram_factor(gram), A, p)
         Ap = A[:, :p]
         chol = np.linalg.inv(gram[:p, :p])
         M = Ap @ chol @ Ap.T
@@ -222,17 +228,17 @@ class TestGaussianComponent:
 class TestGramHelpers:
     def test_mean_adjustment_shapes(self):
         gram = np.eye(3) + 0.2
-        assert mean_adjustment(gram, 0).shape == (0, 3)
-        assert mean_adjustment(gram, 3).shape == (3, 0)
+        assert mean_adjustment(gram_factor(gram), 0).shape == (0, 3)
+        assert mean_adjustment(gram_factor(gram), 3).shape == (3, 0)
 
     def test_scaled_omitted_bias_identity_gram(self):
-        out = scaled_omitted_bias(np.eye(3), np.array([2.0, -1.0]), 1)
+        out = scaled_omitted_bias(gram_factor(np.eye(3)), np.array([2.0, -1.0]), 1)
         assert out == pytest.approx([0.0, -2.0, 1.0])
 
     def test_singular_block_raises(self):
         gram = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(IllConditionedError):
-            xi_from_gram(gram, 2)
+            gram_factor(gram)
 
 
 class TestDesignConstruction:

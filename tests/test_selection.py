@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import postselect as ps
+from postselect.config import synthetic_design
 from postselect.kernels import normals_from_stream
 
 from conftest import classic_setting
@@ -80,6 +81,26 @@ class TestSelectModel:
         t2 = math.sqrt(design.n) * coef[1] / (params.sigma * ps.xi(design, 2))
         d = stats.kstest(t2, "norm").statistic
         assert d <= 1.63 / math.sqrt(R)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_t_ratios_match_per_order_least_squares(self, seed):
+        design = synthetic_design(200, 10, seed)
+        n, P = design.n, design.P
+        family = ps.SelectionFamily(min_order=1, criticals=(2.0,) * (P - 1))
+        rng = np.random.default_rng(seed)
+        y = design.X @ rng.standard_normal(P) + rng.standard_normal(n)
+        out = ps.select_model(y, design, family)
+        full = np.linalg.lstsq(design.X, y, rcond=None)[0]
+        resid = y - design.X @ full
+        scale = math.sqrt(resid @ resid / (n - P))
+        want = np.zeros(P + 1)
+        for p in range(1, P + 1):
+            Xp = design.X[:, :p]
+            coef = np.linalg.lstsq(Xp, y, rcond=None)[0]
+            xi = math.sqrt(np.linalg.inv(Xp.T @ Xp / n)[-1, -1])
+            want[p] = math.sqrt(n) * coef[-1] / (scale * xi)
+        assert out.sigma_hat == pytest.approx(scale, rel=1e-12)
+        assert out.t_stats == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_shapes(self, classic_components):
         design, family, _, _ = classic_components
