@@ -67,8 +67,8 @@ class LimitParameter:
             raise ValueError("Q shape inconsistent with psi")
         if not np.allclose(Q, Q.T, atol=1e-12, rtol=1e-10):
             raise ValueError("Q must be symmetric")
-        eigmin = float(np.linalg.eigvalsh(Q)[0])
-        if eigmin <= _MIN_EIG_TOL * max(1.0, float(np.linalg.eigvalsh(Q)[-1])):
+        eig = np.linalg.eigvalsh(Q)
+        if eig[0] <= _MIN_EIG_TOL * max(1.0, float(eig[-1])):
             raise ValueError("Q must be positive definite")
         psi_ro = psi.copy()
         psi_ro.setflags(write=False)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotic import local_alternative_limit
+from .asymptotic import LimitParameter, limit_cdf, local_shift_vector
 from .config import ConfigError, RunConfig, parse_config
 from .distribution import (
     TwoRegressorSetting,
@@ -161,23 +161,20 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> None:
     base = cfg.settings()[0]
     psi2 = np.sqrt(base.n) * base.theta2
     grid = cfg.grid_points()
-    theta_fixed = np.array([cfg.theta1, 0.0])
-    gamma = np.array([0.0, psi2])
+    psi = local_shift_vector(np.array([cfg.theta1, 0.0]), np.array([0.0, psi2]))
     rows = []
     sup_cdf, sup_sel, sup_lim = [], [], []
     for n in sorted(n_list):
         st = TwoRegressorSetting(rho=base.rho, sigma1=base.sigma1, sigma2=base.sigma2,
                                  theta2=psi2 / np.sqrt(n), n=n, c2=base.c2)
         design, family, target, params = st.components(theta1=cfg.theta1, seed=cfg.seed)
+        limit = LimitParameter(psi=psi, sigma=params.sigma, Q=design.gram)
         d_cdf = 0.0
         d_lim = 0.0
         for t in grid:
             g_unknown = _check(cdf_unknown_variance(design, family, target, params, t, spec))
             g_known = _check(cdf_known_variance(design, family, target, params, t, spec))
-            lim = _check(
-                local_alternative_limit(theta_fixed, gamma, params.sigma, design.gram,
-                                        family, target, t, spec)
-            )
+            lim = _check(limit_cdf(limit, family, target, t, spec))
             base_val = g_unknown if cfg.variant == "unknown" else g_known
             d_cdf = max(d_cdf, abs(g_unknown - g_known))
             d_lim = max(d_lim, abs(base_val - lim))

@@ -2,10 +2,12 @@
 
 Everything downstream funnels through a handful of primitives: the two-sided
 Gaussian interval probability ``delta``, the scaled-chi density (the law of
-the residual scale estimate sigma_hat/sigma), adaptive quadrature against that
-density, lower-orthant Gaussian region integrals, and reproducible Gaussian
-sampling.  All functions are pure; random use is confined to counter-based
-(Philox) streams so results are reproducible and safely parallelizable.
+the residual scale estimate sigma_hat/sigma) with its quantiles, a scalar
+adaptive quadrature against that density (the reference for the mixture
+engine's fixed-rule scale smoothing and the two-regressor closed form),
+lower-orthant Gaussian region integrals, and reproducible Gaussian sampling.
+All functions are pure; random use is confined to counter-based (Philox)
+streams so results are reproducible and safely parallelizable.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ class QuadratureSpec:
 
     ``abs_tol``/``rel_tol`` drive the adaptive 1-D rules; ``max_nodes`` caps
     the total number of integrand evaluations (21 per subinterval for the
-    Gauss-Kronrod rule).  The ``qmc_*`` fields control the randomized
+    Gauss-Kronrod rule).  The mixture engine's scale smoothing uses fixed
+    rules and reports convergence when its error estimate is within
+    ``abs_tol``.  The ``qmc_*`` fields control the randomized
     quasi-Monte Carlo path used for multivariate or singular region
     integrals: start at ``qmc_initial`` points and double until the error
     estimate drops below ``qmc_tol`` or ``qmc_max`` is reached.
@@ -86,17 +90,6 @@ class QuadratureSpec:
     @property
     def subdivision_limit(self) -> int:
         return max(1, self.max_nodes // 21)
-
-    def tightened(self, factor: float = 10.0) -> "QuadratureSpec":
-        """Spec for inner integrals of a nested quadrature."""
-        return QuadratureSpec(
-            abs_tol=self.abs_tol / factor,
-            rel_tol=self.rel_tol / factor,
-            max_nodes=self.max_nodes,
-            qmc_tol=self.qmc_tol,
-            qmc_initial=self.qmc_initial,
-            qmc_max=self.qmc_max,
-        )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -172,10 +165,9 @@ def chi_scaled_quantile(m: int, q: float) -> float:
 
 
 def integrate_against_h(
-    f: Callable[[float], float | np.ndarray],
+    f: Callable[[float], float],
     m: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    vectorized: bool = False,
 ) -> QuadResult:
     """Integral of f(s) against the scaled-chi density over (0, inf).
 
@@ -183,9 +175,6 @@ def integrate_against_h(
     probabilities, hence in [0, 1]).  The integration interval is truncated at
     the 1e-14 and 1 - 1e-14 quantiles of the scaled-chi law; the discarded
     tail mass (<= 2e-14 for |f| <= 1) is added to the error estimate.
-
-    With ``vectorized=True``, f may return an array (one entry per
-    integration problem); all problems share one adaptive subdivision.
 
     The tolerances passed to the adaptive rule carry a safety factor: on
     integrands with jumps (degenerate interval probabilities) the rule's
@@ -197,23 +186,6 @@ def integrate_against_h(
     s_hi = chi_scaled_quantile(m, 1.0 - _TAIL_Q)
     eps_abs = max(spec.abs_tol / 100.0, 1e-14)
     eps_rel = max(spec.rel_tol / 100.0, 1e-13)
-
-    if vectorized:
-        def integrand(s):
-            return np.asarray(f(s), dtype=float) * chi_scaled_density(m, s)
-
-        value, err, info = integrate.quad_vec(
-            integrand,
-            s_lo,
-            s_hi,
-            epsabs=eps_abs,
-            epsrel=eps_rel,
-            limit=spec.subdivision_limit,
-            norm="max",
-            full_output=True,
-        )
-        ok = bool(info.success) or float(err) <= spec.abs_tol
-        return QuadResult(value, float(err) + 2.0 * _TAIL_Q, ok)
 
     def integrand(s: float) -> float:
         return float(f(s)) * chi_scaled_density(m, s)

@@ -7,7 +7,8 @@ lowest order enters as a plain shifted Gaussian cdf times a product of
 interval probabilities, and every higher order contributes a Gaussian region
 integral whose integrand removes the mass on which the order-p test accepts.
 The unknown-scale variant smooths every interval probability against the
-scaled-chi law of the residual scale estimate.
+scaled-chi law of the residual scale estimate; weights and rejection terms
+alike go through one evaluator, ``MixtureEngine._smoothed_reject``.
 
 The engine is parameterized by the Cholesky factor of the Gram matrix, the
 interval centers, and the component mean shifts, so the finite-sample case
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import Chebyshev
 
 from .kernels import (
+    _TAIL_Q,
     DEFAULT_SPEC,
     QuadResult,
     QuadratureSpec,
@@ -33,7 +35,6 @@ from .kernels import (
     delta,
     gaussian_density,
     gaussian_region_prob,
-    integrate_against_h,
 )
 from .model import (
     GaussianComponent,
@@ -45,6 +46,15 @@ from .model import (
 )
 
 __all__ = ["DistributionResult", "MixtureEngine"]
+
+# Scale smoothing: degree of the Chebyshev interpolant of each tail product
+# against h, Gauss-Legendre nodes across the window in which a rejection
+# probability moves from 1 to 0 (half-width 9 conditional standard
+# deviations), and rows per block so that batches keep memory bounded.
+_CHEB_DEGREE = 64
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_WINDOW = 9.0
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +116,12 @@ class MixtureEngine:
         self._xi = {q: xi_from_factor(self.factor, q) for q in range(p_lo + 1, self.P + 1)}
         self._cond: dict[int, tuple[np.ndarray, float]] = {}
         self._comp: dict[int, GaussianComponent] = {}
-        self._weight_cache: dict[tuple, QuadResult] = {}
-        self._cum_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._antiderivs: dict[int, tuple[Chebyshev, float]] = {}
+        if self.h_df is not None:
+            self._support = (
+                chi_scaled_quantile(self.h_df, _TAIL_Q),
+                chi_scaled_quantile(self.h_df, 1.0 - _TAIL_Q),
+            )
 
     # -- derived quantities ------------------------------------------------
 
@@ -154,59 +168,55 @@ class MixtureEngine:
         width = s * self.family.critical(p) * self.sigma * self.xi_at(p)
         return 1.0 - delta(self.sigma * zeta, u, width)
 
-    def _tail_cumulative(self, p: int):
-        """Fine-grid cumulative of gamma_tail(p, s) h(s) ds, for degenerate orders.
+    # -- scale smoothing -------------------------------------------------------
 
-        When the conditional scale of order p vanishes, the smoothed rejection
-        probability given regression value u reduces to the integral of the
-        acceptance tail product over s <= |u| / (c_p sigma xi_p); this caches
-        that cumulative on a dense grid (trapezoid error ~1e-8, well inside
-        the QMC tolerance it serves).
+    def _tail_antiderivative(self, p: int):
+        """(F_p, err): antiderivative of gamma_tail(p, s) h(s) on the support I.
+
+        F_p integrates a degree-64 Chebyshev interpolant and vanishes at the
+        lower end of I; ``err`` bounds its error by the interpolant's last
+        coefficients times |I|, plus the mass of h outside I.
         """
-        if p not in self._cum_cache:
-            s_lo = chi_scaled_quantile(self.h_df, 1e-14)
-            s_hi = chi_scaled_quantile(self.h_df, 1.0 - 1e-14)
-            grid = np.linspace(s_lo, s_hi, 16_385)
-            vals = self.gamma_tail(p, grid) * chi_scaled_density(self.h_df, grid)
-            cum = np.concatenate(([0.0], integrate.cumulative_trapezoid(vals, grid)))
-            self._cum_cache[p] = (grid, cum)
-        return self._cum_cache[p]
+        if p not in self._antiderivs:
+            s_lo, s_hi = self._support
+            cheb = Chebyshev.interpolate(
+                lambda s: self.gamma_tail(p, s) * chi_scaled_density(self.h_df, s),
+                _CHEB_DEGREE,
+                domain=[s_lo, s_hi],
+            )
+            err = float(np.abs(cheb.coef[-4:]).sum()) * (s_hi - s_lo) + 2.0 * _TAIL_Q
+            self._antiderivs[p] = (cheb.integ(lbnd=s_lo), err)
+        return self._antiderivs[p]
 
-    def _smoothed_reject(self, p: int, u, inner_spec: QuadratureSpec) -> QuadResult:
-        """int (1 - accept_p(u, s)) gamma_tail(p, s) h(s) ds over the scale law.
+    def _smoothed_reject(self, p: int, u, v: float) -> np.ndarray:
+        """S_p(u, v) = int_I P(|u + v Z| >= s w_p) gamma_tail(p, s) h(s) ds.
 
-        ``u`` may be a scalar or a batch; batches share one adaptive
-        subdivision.  The degenerate case (zero conditional scale) is a step
-        function in s and is evaluated as an incomplete integral of the tail
-        product instead of being fed to the adaptive rule.
+        Here w_p = c_p sigma xi_p, Z is standard normal and I the support of
+        the scaled-chi law h.  ``u`` may have any shape.  The rejection
+        probability is 1 for s below |u|/w_p - 9 v/w_p and 0 above
+        |u|/w_p + 9 v/w_p, to better than 1e-18, so S_p is the
+        antiderivative of the tail product up to the lower end of that window
+        plus a Gauss-Legendre rule of the exact integrand across it.  With
+        v = 0 the window is empty and S_p is the antiderivative at |u|/w_p.
         """
-        _, zeta = self._conditional(p)
-        width_unit = self.family.critical(p) * self.sigma * self.xi_at(p)
-        if zeta == 0.0:
-            x = np.abs(np.asarray(u, dtype=float)) / width_unit
-            if x.ndim == 0:
-                s_lo = chi_scaled_quantile(self.h_df, 1e-14)
-                s_hi = chi_scaled_quantile(self.h_df, 1.0 - 1e-14)
-                ub = min(float(x), s_hi)
-                if ub <= s_lo:
-                    return QuadResult(0.0, 2e-14, True)
-                out = integrate.quad(
-                    lambda s: float(self.gamma_tail(p, s)) * chi_scaled_density(self.h_df, s),
-                    s_lo,
-                    ub,
-                    epsabs=inner_spec.abs_tol,
-                    epsrel=inner_spec.rel_tol,
-                    limit=inner_spec.subdivision_limit,
-                    full_output=1,
-                )
-                return QuadResult(float(out[0]), float(out[1]) + 2e-14, len(out) < 4)
-            grid, cum = self._tail_cumulative(p)
-            return QuadResult(np.interp(x, grid, cum), 1e-8, True)
-        if np.ndim(u) == 0:
-            f = lambda s: self._reject_given(p, float(u), s) * self.gamma_tail(p, s)
-            return integrate_against_h(f, self.h_df, inner_spec)
-        f = lambda s: self._reject_given(p, u, s) * self.gamma_tail(p, s)
-        return integrate_against_h(f, self.h_df, inner_spec, vectorized=True)
+        antideriv, _ = self._tail_antiderivative(p)
+        s_lo, s_hi = self._support
+        w = self.family.critical(p) * self.sigma * self.xi_at(p)
+        a = np.abs(np.asarray(u, dtype=float))
+        flat = a.ravel()
+        lo = np.clip((flat - _WINDOW * v) / w, s_lo, s_hi)
+        hi = np.clip((flat + _WINDOW * v) / w, s_lo, s_hi)
+        out = antideriv(lo)
+        # only rows whose window meets I need the rule
+        open_rows = np.flatnonzero(hi > lo)
+        for start in range(0, open_rows.size, _CHUNK_ROWS):
+            rows = open_rows[start:start + _CHUNK_ROWS]
+            half = 0.5 * (hi[rows] - lo[rows])
+            s = (lo[rows] + half)[:, None] + half[:, None] * _GL_NODES
+            f = 1.0 - delta(v, flat[rows, None], s * w)
+            f *= self.gamma_tail(p, s) * chi_scaled_density(self.h_df, s)
+            out[rows] += half * (f @ _GL_WEIGHTS)
+        return out.reshape(a.shape)
 
     # -- selection weights ---------------------------------------------------
 
@@ -214,23 +224,18 @@ class MixtureEngine:
         """Mass of candidate order p (its selection probability)."""
         if not self.p_lo <= p <= self.P:
             raise ValueError(f"order {p} outside [{self.p_lo}, {self.P}]")
-        key = (p, spec.abs_tol, spec.rel_tol)
-        if key in self._weight_cache:
-            return self._weight_cache[key]
         if self.h_df is None:
             if p == self.p_lo:
                 val = float(self.gamma_tail(self.p_lo, 1.0))
             else:
                 val = float((1.0 - self.gamma(p, 1.0)) * self.gamma_tail(p, 1.0))
-            res = QuadResult(val, 0.0, True)
+            return QuadResult(val, 0.0, True)
+        antideriv, err = self._tail_antiderivative(p)
+        if p == self.p_lo:
+            val = float(antideriv(self._support[1]))
         else:
-            if p == self.p_lo:
-                f = lambda s: self.gamma_tail(self.p_lo, s)
-            else:
-                f = lambda s: (1.0 - self.gamma(p, s)) * self.gamma_tail(p, s)
-            res = integrate_against_h(f, self.h_df, spec)
-        self._weight_cache[key] = res
-        return res
+            val = float(self._smoothed_reject(p, self.center_args[p], self.sigma * self.xi_at(p)))
+        return QuadResult(val, err, err <= spec.abs_tol)
 
     # -- cdf terms ------------------------------------------------------------
 
@@ -246,7 +251,7 @@ class MixtureEngine:
                 base.converged and w.converged,
             )
 
-        b, _ = self._conditional(p)
+        b, zeta = self._conditional(p)
         shift = self.shifts[p]
         center = self.center_args[p]
 
@@ -259,45 +264,13 @@ class MixtureEngine:
 
             return gaussian_region_prob(comp, t, integrand, spec)
 
-        # inner tolerance 10x tighter than whichever outer path will run:
-        # the 1-D adaptive rule for scalar nonsingular components, else QMC
-        one_dim = comp.k == 1 and comp.rank == 1 and comp.covariance[0, 0] > 0.0
-        if one_dim:
-            inner_spec = spec.tightened()
-        else:
-            qtol = spec.qmc_tol / 10.0
-            inner_spec = QuadratureSpec(
-                abs_tol=qtol,
-                rel_tol=qtol,
-                max_nodes=spec.max_nodes,
-                qmc_tol=spec.qmc_tol,
-                qmc_initial=spec.qmc_initial,
-                qmc_max=spec.qmc_max,
-            )
-        inner_err = 0.0
-        inner_ok = True
-        memo: dict[float, float] = {}
-
         def integrand(zb: np.ndarray) -> np.ndarray:
-            nonlocal inner_err, inner_ok
-            u = (zb - shift) @ b + center
-            if u.size == 1:
-                u0 = float(u[0])
-                if u0 in memo:
-                    return np.array([memo[u0]])
-                res = self._smoothed_reject(p, u0, inner_spec)
-                memo[u0] = res.value
-                inner_err = max(inner_err, res.err_est)
-                inner_ok = inner_ok and res.converged
-                return np.array([res.value])
-            res = self._smoothed_reject(p, u, inner_spec)
-            inner_err = max(inner_err, float(np.max(res.err_est)))
-            inner_ok = inner_ok and res.converged
-            return np.asarray(res.value, dtype=float)
+            return self._smoothed_reject(p, (zb - shift) @ b + center, self.sigma * zeta)
 
         outer = gaussian_region_prob(comp, t, integrand, spec)
+        _, err = self._tail_antiderivative(p)
         return QuadResult(
-            outer.value, outer.err_est + inner_err, outer.converged and inner_ok
+            outer.value, outer.err_est + err, outer.converged and err <= spec.abs_tol
         )
 
     # -- density terms ----------------------------------------------------------
@@ -309,14 +282,15 @@ class MixtureEngine:
         if p == self.p_lo:
             w = self.weight(p, spec)
             return QuadResult(pdf * w.value, pdf * w.err_est, w.converged)
-        b, _ = self._conditional(p)
+        b, zeta = self._conditional(p)
         x = np.atleast_1d(np.asarray(t, dtype=float)) - self.shifts[p]
         u = float(x @ b) + self.center_args[p]
         if self.h_df is None:
             val = float(self._reject_given(p, u, 1.0) * self.gamma_tail(p, 1.0))
             return QuadResult(val * pdf, 0.0, True)
-        res = self._smoothed_reject(p, u, spec.tightened())
-        return QuadResult(res.value * pdf, res.err_est * pdf, res.converged)
+        val = float(self._smoothed_reject(p, u, self.sigma * zeta))
+        _, err = self._tail_antiderivative(p)
+        return QuadResult(val * pdf, err * pdf, err <= spec.abs_tol)
 
     # -- assembly -----------------------------------------------------------------
 

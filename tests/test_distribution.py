@@ -10,7 +10,7 @@ from scipy import integrate, stats
 import postselect as ps
 from postselect.distribution import finite_sample_engine
 
-from conftest import PANEL_THETA2, classic_setting
+from conftest import CLASSIC, PANEL_THETA2, classic_setting
 
 
 class TestCdfBasics:
@@ -260,20 +260,27 @@ class TestWeightedConditional:
             )
 
     def test_mass_matches_selection_probability(self, classic_components):
-        design, family, target, params = classic_components
-        for p in family.orders:
-            known = ps.weighted_conditional_cdf(
-                design, family, target, params, p, 50.0, "known"
-            ).value
-            assert known == pytest.approx(
-                ps.selection_prob_known(design, family, params, p), abs=1e-9
-            )
-            unknown = ps.weighted_conditional_cdf(
-                design, family, target, params, p, 50.0, "unknown"
-            ).value
-            assert unknown == pytest.approx(
-                ps.selection_prob_unknown(design, family, params, p), abs=1e-9
-            )
+        # second problem: one residual degree of freedom and a target almost
+        # orthogonal to the protected coefficient, so the order-2 conditional
+        # scale is ~7e-4 of xi_2 and the rejection probability nearly a step
+        design, family, _, params = ps.TwoRegressorSetting(
+            theta2=0.75, **{**CLASSIC, "n": 3}
+        ).components()
+        near_step = (design, family, ps.TargetFunctional(np.array([[0.001, 1.0]])), params)
+        for design, family, target, params in (classic_components, near_step):
+            for p in family.orders:
+                known = ps.weighted_conditional_cdf(
+                    design, family, target, params, p, 50.0, "known"
+                ).value
+                assert known == pytest.approx(
+                    ps.selection_prob_known(design, family, params, p), abs=1e-9
+                )
+                unknown = ps.weighted_conditional_cdf(
+                    design, family, target, params, p, 50.0, "unknown"
+                ).value
+                assert unknown == pytest.approx(
+                    ps.selection_prob_unknown(design, family, params, p), abs=1e-9
+                )
 
     def test_known_term_densities_match_conditional_closed_forms(self):
         setting = classic_setting(0.75)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from postselect.kernels import (
-    DEFAULT_SPEC,
     QuadratureSpec,
     chi_scaled_density,
     chi_scaled_quantile,
@@ -19,7 +18,8 @@ from postselect.kernels import (
     rank_factor,
     sample_gaussian,
 )
-from postselect.model import GaussianComponent
+from postselect.mixture import MixtureEngine
+from postselect.model import GaussianComponent, SelectionFamily
 
 # Frozen against a 30-digit mpmath normal-cdf oracle (independent of the
 # scipy implementation under test).
@@ -140,14 +140,6 @@ class TestIntegrateAgainstH:
         hi, _, _ = integrate_against_h(lambda s: delta(1.0, 0.5, s), 7)
         assert lo <= hi + 1e-12
 
-    def test_vectorized_agrees_with_scalar(self):
-        f = lambda s: np.array([delta(1.0, 0.0, 2.0 * s), delta(1.0, 1.0, s)])
-        vec = integrate_against_h(f, 6, vectorized=True)
-        for i, g in enumerate([lambda s: delta(1.0, 0.0, 2.0 * s),
-                               lambda s: delta(1.0, 1.0, s)]):
-            scalar = integrate_against_h(g, 6)
-            assert vec.value[i] == pytest.approx(scalar.value, abs=1e-9)
-
     def test_exhausted_budget_reports_partial_value_and_flag(self):
         # a jump integrand with a single permitted subinterval cannot meet the
         # tolerance: the result must still be usable but flagged
@@ -156,6 +148,84 @@ class TestIntegrateAgainstH:
         res = integrate_against_h(lambda s: float(s > med), 5, tight)
         assert not res.converged
         assert abs(res.value - 0.5) < 0.05  # partial value still sensible
+
+
+# S(u, v) = int_0^inf P(|u + vZ| >= 2.015 s) delta(1, 0.7, 1.5 s) h_m(s) ds,
+# keyed by (m, v, u): the order-2 scale smoothing of a P = 3 engine with
+# identity Gram (so xi_2 = 1 and v is zeta/xi), unit scale and order-3 center
+# 0.7, for conditional scales from 0 through the near-step regime to smooth.
+# Frozen against mpmath at 30 digits (tanh-sinh on [0, 12], split at
+# |u|/2.015 + k v/2.015 for k in 0, +-1, +-3, +-9).
+MP_SMOOTHED_REJECT = {
+    (1, 0, 0.0): 0.0,
+    (1, 0, 1.6): 0.19094179604997375171,
+    (1, 0, -2.9): 0.41242077261625129743,
+    (1, 7e-4, 0.0): 4.5100895285575131125e-8,
+    (1, 7e-4, 1.6): 0.19094179981798752153,
+    (1, 7e-4, -2.9): 0.41242075355015167346,
+    (1, 0.06, 0.0): 0.00033104923299643205286,
+    (1, 0.06, 1.6): 0.19096958346674276023,
+    (1, 0.06, -2.9): 0.41228082747755612777,
+    (1, 0.35, 0.0): 0.010934123026347588738,
+    (1, 0.35, 1.6): 0.19199687496192005482,
+    (1, 0.35, -2.9): 0.40780577002750960024,
+    (5, 0, 0.0): 0.0,
+    (5, 0, 1.6): 0.17280206021943712135,
+    (5, 0, -2.9): 0.65626065346686102757,
+    (5, 7e-4, 0.0): 6.1199827135516220706e-20,
+    (5, 7e-4, 1.6): 0.1728021585736428171,
+    (5, 7e-4, -2.9): 0.65626056945861619285,
+    (5, 0.06, 0.0): 2.3968568907910133867e-8,
+    (5, 0.06, 1.6): 0.17352055694257347648,
+    (5, 0.06, -2.9): 0.65564427404065119335,
+    (5, 0.35, 0.0): 0.00064364905315225683704,
+    (5, 0.35, 1.6): 0.1934127010225906326,
+    (5, 0.35, -2.9): 0.63636907798802664448,
+    (48, 0, 0.0): 0.0,
+    (48, 0, 1.6): 0.013550666706585219927,
+    (48, 0, -2.9): 0.76809538560640897988,
+    (48, 7e-4, 0.0): 5.1585744662640548858e-130,
+    (48, 7e-4, 1.6): 0.013551142135040338932,
+    (48, 7e-4, -2.9): 0.76809538415570538028,
+    (48, 0.06, 0.0): 9.8557276712273581856e-36,
+    (48, 0.06, 1.6): 0.017125443307086954692,
+    (48, 0.06, -2.9): 0.76808183414101112652,
+    (48, 0.35, 0.0): 3.7244966133167086301e-7,
+    (48, 0.35, 1.6): 0.11620761754231063352,
+    (48, 0.35, -2.9): 0.75654210762986394945,
+}
+
+
+class TestScaleSmoothing:
+    @staticmethod
+    def _engine(m):
+        family = SelectionFamily(min_order=1, criticals=(2.015, 1.5))
+        return MixtureEngine(np.eye(3), 1.0, family, 1, {2: 0.4, 3: 0.7}, h_df=m)
+
+    @pytest.mark.parametrize("m", [1, 5, 48])
+    def test_matches_high_precision_oracle(self, m):
+        engine = self._engine(m)
+        _, err = engine._tail_antiderivative(2)
+        for (df, v, u), want in MP_SMOOTHED_REJECT.items():
+            if df != m:
+                continue
+            got = float(engine._smoothed_reject(2, u, v))
+            assert abs(got - want) <= 1e-13
+            assert abs(got - want) <= err
+
+    @pytest.mark.parametrize("m", [1, 5, 48])
+    def test_batch_matches_adaptive_reference(self, m):
+        # the adaptive rule is reliable once the step in s is resolved
+        engine = self._engine(m)
+        u = np.array([[0.0, 1.6], [-2.9, 0.9]])
+        for v in (0.06, 0.35):
+            batch = engine._smoothed_reject(2, u, v)
+            assert batch.shape == u.shape
+            for got, ui in zip(batch.ravel(), u.ravel()):
+                ref = integrate_against_h(
+                    lambda s: (1.0 - delta(v, ui, 2.015 * s)) * engine.gamma_tail(2, s), m
+                )
+                assert got == pytest.approx(ref.value, abs=1e-10)
 
 
 def _scalar_normal_component(mean=0.0, var=1.0):
@@ -266,7 +336,3 @@ class TestQuadratureSpec:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_nodes=10)
-
-    def test_tightened(self):
-        t = DEFAULT_SPEC.tightened()
-        assert t.abs_tol == pytest.approx(DEFAULT_SPEC.abs_tol / 10.0)
