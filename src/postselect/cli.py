@@ -22,7 +22,7 @@ from .distribution import (
     TwoRegressorSetting,
     cdf_known_variance,
     cdf_unknown_variance,
-    two_regressor_density,
+    _two_regressor_density,
 )
 from .kernels import QuadratureSpec, norm_pdf
 from .montecarlo import ks_distance, ks_grid, simulate, write_report_csv
@@ -83,13 +83,14 @@ def cmd_curves(cfg: RunConfig, outdir: Path) -> None:
         sd_narrow = setting.sigma1 * np.sqrt(1.0 - setting.rho**2)
         rows = []
         for t in grid:
+            densities = [
+                _check(_two_regressor_density(setting, variant, t, spec))
+                for variant in ("unknown", "known", "cond_m1", "cond_m2")
+            ]
             rows.append(
                 (
                     t,
-                    two_regressor_density(setting, "unknown", t, spec),
-                    two_regressor_density(setting, "known", t, spec),
-                    two_regressor_density(setting, "cond_m1", t, spec),
-                    two_regressor_density(setting, "cond_m2", t, spec),
+                    *densities,
                     norm_pdf(t / sd_narrow) / sd_narrow,
                     norm_pdf(t / setting.sigma1) / setting.sigma1,
                 )

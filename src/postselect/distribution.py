@@ -25,6 +25,7 @@ import numpy as np
 
 from .kernels import (
     DEFAULT_SPEC,
+    QuadResult,
     QuadratureSpec,
     delta,
     integrate_against_h,
@@ -231,6 +232,17 @@ def two_regressor_density(
     the known-scale densities conditional on selecting the restricted and the
     full model.
     """
+    return _two_regressor_density(setting, variant, t, spec).value
+
+
+def _two_regressor_density(
+    setting: TwoRegressorSetting,
+    variant: str,
+    t: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> QuadResult:
+    """``two_regressor_density`` with the error estimate and convergence flag
+    of its scale integrals (exact forms report 0 and True)."""
     rho, s1, s2, c2 = setting.rho, setting.sigma1, setting.sigma2, setting.c2
     a = math.sqrt(setting.n) * setting.theta2 / s2
     root = math.sqrt(1.0 - rho * rho)
@@ -245,14 +257,19 @@ def two_regressor_density(
         return 1.0 - delta(1.0, (a + rho * t / s1) / root, s * c2 / root)
 
     if variant == "known":
-        return phi_restricted * keep_prob(1.0) + phi_full * drop_given_t(1.0)
+        value = phi_restricted * keep_prob(1.0) + phi_full * drop_given_t(1.0)
+        return QuadResult(value, 0.0, True)
     if variant == "unknown":
         m = setting.n - 2
-        keep = integrate_against_h(keep_prob, m, spec).value
-        drop = integrate_against_h(drop_given_t, m, spec).value
-        return phi_restricted * keep + phi_full * drop
+        keep = integrate_against_h(keep_prob, m, spec)
+        drop = integrate_against_h(drop_given_t, m, spec)
+        return QuadResult(
+            phi_restricted * keep.value + phi_full * drop.value,
+            phi_restricted * keep.err_est + phi_full * drop.err_est,
+            keep.converged and drop.converged,
+        )
     if variant == "cond_m1":
-        return phi_restricted
+        return QuadResult(phi_restricted, 0.0, True)
     if variant == "cond_m2":
-        return phi_full * drop_given_t(1.0) / (1.0 - keep_prob(1.0))
+        return QuadResult(phi_full * drop_given_t(1.0) / (1.0 - keep_prob(1.0)), 0.0, True)
     raise ValueError("variant must be one of: known, unknown, cond_m1, cond_m2")

@@ -6,12 +6,23 @@ the residual scale estimate sigma_hat/sigma) with its quantiles, a scalar
 adaptive quadrature against that density (the reference for the mixture
 engine's fixed-rule scale smoothing and the two-regressor closed form),
 lower-orthant Gaussian region integrals, and reproducible Gaussian sampling.
+
+Region integrals of Gaussians of rank at most two (every one- or
+two-dimensional target) condition on the one projection the integrand
+reads: given it, the region probability of the rest is a closed-form normal
+interval probability, so each integral is one deterministic 1-D integral,
+evaluated by a batched, globally adaptive Gauss-Kronrod rule that calls the
+integrand once per pass on the nodes of every open subinterval.  Randomized
+quasi-Monte Carlo serves only rank three or more, or a rank-two integrand
+given without its projection.
+
 All functions are pure; random use is confined to counter-based (Philox)
 streams so results are reproducible and safely parallelizable.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -44,6 +55,44 @@ __all__ = [
 _TAIL_Q = 1e-14
 _GAUSS_TAIL_Q = 1e-16
 
+# Gauss-Kronrod 10/21 rule on [-1, 1], constants as in scipy.integrate.quad_vec:
+# the 21 Kronrod nodes and weights, and the weights of the 10-point Gauss rule
+# on the odd-indexed nodes.
+_GK_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003,
+])
+_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
+])
+_GAUSS_WEIGHTS = np.zeros(21)
+_GAUSS_WEIGHTS[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
+]
+
 # Root seed for the internal randomized-QMC error estimate; fixed so that
 # region probabilities are deterministic across calls, runs and thread counts.
 _QMC_ROOT_SEED = 0x9E3779B9
@@ -62,14 +111,19 @@ class QuadResult(NamedTuple):
 class QuadratureSpec:
     """Tolerances and effort caps for the numerical integration routines.
 
-    ``abs_tol``/``rel_tol`` drive the adaptive 1-D rules; ``max_nodes`` caps
-    the total number of integrand evaluations (21 per subinterval for the
-    Gauss-Kronrod rule).  The mixture engine's scale smoothing uses fixed
-    rules and reports convergence when its error estimate is within
-    ``abs_tol``.  The ``qmc_*`` fields control the randomized
-    quasi-Monte Carlo path used for multivariate or singular region
-    integrals: start at ``qmc_initial`` points and double until the error
-    estimate drops below ``qmc_tol`` or ``qmc_max`` is reached.
+    ``abs_tol``/``rel_tol`` drive the adaptive 1-D rules: a rule stops once
+    its error estimate is within ``max(abs_tol, rel_tol * |value|)``.
+    ``max_nodes`` caps the integrand evaluations of one adaptive 1-D
+    integral (21 per Gauss-Kronrod subinterval); a rule that would pass it
+    stops with ``converged=False``.  The first pass always runs, so a cap
+    below 21 still returns a value.  The mixture engine's scale smoothing
+    uses fixed rules and reports convergence when its error estimate is
+    within ``abs_tol``.  The ``qmc_*`` fields apply only to region
+    integrals of Gaussians of rank three or more in three or more
+    dimensions (or of rank two with an integrand given without its
+    projection), which use randomized quasi-Monte Carlo: start
+    at ``qmc_initial`` points and double until the error estimate drops
+    below ``qmc_tol`` or ``qmc_max`` is reached.
     """
 
     abs_tol: float = 1e-10
@@ -241,6 +295,156 @@ def gaussian_density(mean: np.ndarray, cov: np.ndarray, z) -> float:
     return float(np.exp(-0.5 * (y @ y) - 0.5 * logdet - 0.5 * k * math.log(2.0 * math.pi)))
 
 
+def _gauss_kronrod(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec,
+    breakpoints,
+) -> QuadResult:
+    """Globally adaptive Gauss-Kronrod 10/21 rule for int_a^b f(x) dx.
+
+    ``f`` maps a 1-D array of nodes to their values.  The rule starts from
+    [a, b] split at the ``breakpoints`` inside it (points where f jumps or
+    kinks) and evaluates f once per pass, on the nodes of every subinterval
+    opened in that pass.  A subinterval's error estimate is |K - G|, the gap
+    between its Kronrod and Gauss values.  The rule stops with
+    ``converged=True`` once the summed estimate is within
+    ``max(abs_tol, rel_tol * |value|)``; otherwise it bisects every
+    subinterval whose estimate exceeds its length's share of that tolerance,
+    and stops with ``converged=False`` when the next pass would take the node
+    count past ``spec.max_nodes``.
+    """
+    if not b > a:
+        return QuadResult(0.0, 0.0, True)
+    edges = np.unique(np.clip(np.r_[a, np.asarray(breakpoints, dtype=float), b], a, b))
+    new_lo, new_hi = edges[:-1], edges[1:]
+    lo = hi = val = err = np.empty(0)
+    nodes = 0
+    while True:
+        half = 0.5 * (new_hi - new_lo)
+        x = (new_lo + half)[:, None] + half[:, None] * _GK_NODES
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        nodes += x.size
+        kron = half * (fx @ _KRONROD_WEIGHTS)
+        lo, hi = np.r_[lo, new_lo], np.r_[hi, new_hi]
+        val = np.r_[val, kron]
+        err = np.r_[err, np.abs(kron - half * (fx @ _GAUSS_WEIGHTS))]
+        total, err_sum = float(val.sum()), float(err.sum())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if err_sum <= tol:
+            return QuadResult(total, err_sum, True)
+        split = err > tol * (hi - lo) / (b - a)
+        if nodes + 2 * _GK_NODES.size * int(split.sum()) > spec.max_nodes:
+            return QuadResult(total, err_sum, False)
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.r_[lo[split], mid], np.r_[mid, hi[split]]
+        keep = ~split
+        lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
+
+
+def _normal_interval(lo, hi):
+    """P(lo < W < hi) for standard normal W, elementwise.
+
+    The two cdf evaluations are arranged on the lower tail, as in ``delta``,
+    so the difference stays accurate when the interval lies far out.
+    """
+    with np.errstate(invalid="ignore"):
+        out = np.where(lo > -hi, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    return np.maximum(out, 0.0)
+
+
+def _point_mass(mean: np.ndarray, t: np.ndarray, integrand) -> QuadResult:
+    """The region integral of a point mass at ``mean``."""
+    if np.any(mean > t):
+        return QuadResult(0.0, 0.0, True)
+    if integrand is None:
+        return QuadResult(1.0, 0.0, True)
+    return QuadResult(float(np.asarray(integrand(mean[None, :]), dtype=float)[0]), 0.0, True)
+
+
+def _conditioned_region_prob(
+    mean: np.ndarray,
+    cov: np.ndarray,
+    t: np.ndarray,
+    integrand: Callable[[np.ndarray], np.ndarray] | None,
+    spec: QuadratureSpec,
+    projection: np.ndarray | None,
+    breakpoints,
+) -> QuadResult:
+    """int_{z <= t} g(z) N(mean, cov)(dz) for cov of rank <= 2, by conditioning.
+
+    With d the ``projection`` (without one, the coordinate of largest
+    variance) and y = d'(z - mean) ~ N(0, d'Cov d), z given y is
+    mean + beta y + c W with beta = Cov d / (d'Cov d), W standard normal and
+    c c' the residual covariance, of rank at most one (c is taken from its
+    largest eigenpair).  Coordinates with c_i != 0 bound W,
+    so P(z <= t | y) is a normal interval probability; coordinates with
+    c_i = 0 clip the range of y.  Since d'c = 0, g is evaluated at
+    mean + beta y, which is exact when g reads z only through d'z.  The 1-D
+    integral over y goes to ``_gauss_kronrod``, split where two bounds on W
+    cross and at the given ``breakpoints`` (values of d'z).
+    """
+    k = mean.size
+    # eigenvalues below this are roundoff of the covariance entries
+    noise = 64.0 * k * np.finfo(float).eps * max(float(np.trace(cov)), 0.0)
+    d = np.eye(k)[int(np.argmax(np.diag(cov)))] if projection is None else projection
+    var_y = float(d @ cov @ d)
+    if not var_y > noise * float(d @ d):
+        # d'z is constant almost surely, and so is the integrand
+        if integrand is None:
+            return _point_mass(mean, t, None)
+        g = float(np.asarray(integrand(mean[None, :]), dtype=float)[0])
+        plain = _conditioned_region_prob(mean, cov, t, None, spec, None, ())
+        return QuadResult(g * plain.value, abs(g) * plain.err_est, plain.converged)
+    sd = math.sqrt(var_y)
+    beta = cov @ d / var_y
+    w, v = np.linalg.eigh(cov - var_y * np.outer(beta, beta))
+    c = v[:, -1] * math.sqrt(max(float(w[-1]), 0.0))
+    c[c * c <= noise] = 0.0
+    room = t - mean  # coordinate i lies in the region when beta_i y + c_i W <= room_i
+
+    y_lo, y_hi = -np.inf, np.inf
+    for i in np.flatnonzero(c == 0.0):
+        if beta[i] > 0.0:
+            y_hi = min(y_hi, room[i] / beta[i])
+        elif beta[i] < 0.0:
+            y_lo = max(y_lo, room[i] / beta[i])
+        elif room[i] < 0.0:
+            return QuadResult(0.0, 0.0, True)
+    bounded = np.flatnonzero(c)
+    if integrand is None and bounded.size == 0:
+        return QuadResult(float(_normal_interval(y_lo / sd, y_hi / sd)), 1e-15, True)
+
+    span = -sd * ndtri(_GAUSS_TAIL_Q)
+    y_lo, y_hi = max(y_lo, -span), min(y_hi, span)
+    if not y_hi > y_lo:
+        return QuadResult(0.0, 2.0 * _GAUSS_TAIL_Q, True)
+    knots = [float(bp) - float(d @ mean) for bp in breakpoints]
+    for i, j in itertools.combinations(bounded, 2):
+        # where the bounds of coordinates i and j on W cross, the binding one switches
+        slope = beta[j] * c[i] - beta[i] * c[j]
+        if slope != 0.0 and np.isfinite(room[[i, j]]).all():
+            knots.append((room[j] * c[i] - room[i] * c[j]) / slope)
+
+    def f(y: np.ndarray) -> np.ndarray:
+        w_lo = np.full(y.shape, -np.inf)
+        w_hi = np.full(y.shape, np.inf)
+        for i in bounded:
+            bound = (room[i] - beta[i] * y) / c[i]
+            if c[i] > 0.0:
+                w_hi = np.minimum(w_hi, bound)
+            else:
+                w_lo = np.maximum(w_lo, bound)
+        out = _normal_interval(w_lo, w_hi) * norm_pdf(y / sd) / sd
+        if integrand is not None:
+            out = out * np.asarray(integrand(mean + y[:, None] * beta), dtype=float)
+        return out
+
+    res = _gauss_kronrod(f, y_lo, y_hi, spec, knots)
+    return QuadResult(res.value, res.err_est + 2.0 * _GAUSS_TAIL_Q, res.converged)
+
+
 def _qmc_region_estimate(
     mean: np.ndarray,
     factor: np.ndarray,
@@ -252,7 +456,8 @@ def _qmc_region_estimate(
 
     Uses ``_QMC_BATCHES`` independently scrambled Sobol sequences; the spread
     of the batch means gives the (3 sigma) error estimate.  Deterministic:
-    scramble seeds are fixed.
+    scramble seeds are fixed.  The integrand is evaluated only on points
+    inside the region.
     """
     d = factor.shape[1]
     tiny = 0.5 ** 54
@@ -270,10 +475,9 @@ def _qmc_region_estimate(
             u = np.clip(sob.random(per_batch), tiny, 1.0 - tiny)
             z = mean + ndtri(u) @ factor.T
             inside = np.all(z <= t, axis=1)
-            if integrand is None:
-                vals = inside.astype(float)
-            else:
-                vals = np.where(inside, np.asarray(integrand(z), dtype=float), 0.0)
+            vals = inside.astype(float)
+            if integrand is not None and inside.any():
+                vals[inside] = np.asarray(integrand(z[inside]), dtype=float)
             sums[b] += vals.sum()
             counts[b] += per_batch
         n_total += _QMC_BATCHES * per_batch
@@ -295,15 +499,26 @@ def gaussian_region_prob(
     t,
     integrand: Callable[[np.ndarray], np.ndarray] | None = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
+    projection=None,
+    breakpoints=(),
 ) -> QuadResult:
     """int_{z <= t} g(z) dPhi(z) for the Gaussian measure of ``comp``.
 
     ``comp`` carries ``mean_shift`` (k,), ``covariance`` (k, k) and ``rank``;
     the measure includes the mean shift.  ``integrand`` receives an (m, k)
     batch of points and must return (m,) values; when absent the plain cdf of
-    the region is computed.  Dimension one with nonsingular covariance uses
-    adaptive quadrature; higher dimension or singular covariance falls back
-    to randomized QMC with a 3-sigma empirical error estimate.
+    the region is computed.  ``projection`` (k,) states that the integrand
+    reads z only through ``projection @ z``; ``breakpoints`` are values of
+    that projection where the integrand jumps or kinks.
+
+    When the covariance has rank at most two (always when k <= 2) the
+    integral is conditioned on that projection (without an integrand, or
+    at rank one, on the coordinate of largest variance) and reduced to one
+    deterministic 1-D integral, evaluated by the batched adaptive
+    Gauss-Kronrod rule, or in closed form when nothing is left to
+    integrate.  At rank three or more, or rank two with an integrand but no
+    projection, it falls back to randomized QMC with a 3-sigma empirical
+    error estimate.
     """
     mean = np.atleast_1d(np.asarray(comp.mean_shift, dtype=float))
     cov = np.atleast_2d(np.asarray(comp.covariance, dtype=float))
@@ -311,51 +526,20 @@ def gaussian_region_prob(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != k:
         raise ValueError(f"t must have length {k}")
-
     if comp.rank == 0:
-        if np.any(mean > t):
-            return QuadResult(0.0, 0.0, True)
-        if integrand is None:
-            return QuadResult(1.0, 0.0, True)
-        val = float(np.asarray(integrand(mean[None, :]), dtype=float)[0])
-        return QuadResult(val, 0.0, True)
-
-    if k == 1 and cov[0, 0] > 0.0:
-        mu = mean[0]
-        sd = math.sqrt(cov[0, 0])
-        if integrand is None:
-            return QuadResult(float(ndtr((t[0] - mu) / sd)), 1e-15, True)
-        lo = mu + sd * ndtri(_GAUSS_TAIL_Q)
-        hi = mu + sd * ndtri(1.0 - _GAUSS_TAIL_Q)
-        ub = min(t[0], hi)
-        if ub <= lo:
-            return QuadResult(0.0, _GAUSS_TAIL_Q, True)
-
-        def f(z: float) -> float:
-            g = float(np.asarray(integrand(np.array([[z]])), dtype=float)[0])
-            return g * norm_pdf((z - mu) / sd) / sd
-
-        out = integrate.quad(
-            f,
-            lo,
-            ub,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.subdivision_limit,
-            full_output=1,
-        )
-        value, abserr = out[0], out[1]
-        converged = len(out) < 4
-        return QuadResult(float(value), float(abserr) + 2.0 * _GAUSS_TAIL_Q, converged)
-
+        return _point_mass(mean, t, integrand)
+    if projection is not None:
+        projection = np.atleast_1d(np.asarray(projection, dtype=float))
+        if projection.size != k:
+            raise ValueError(f"projection must have length {k}")
+    if comp.rank == 1 or (
+        comp.rank == 2 and (integrand is None or projection is not None)
+    ):
+        return _conditioned_region_prob(mean, cov, t, integrand, spec, projection, breakpoints)
     factor = rank_factor(cov)
     if factor.shape[1] == 0:
         # numerically rank zero despite comp.rank > 0: treat as point mass
-        frozen = QuadResult(0.0, 0.0, True)
-        if np.all(mean <= t):
-            val = 1.0 if integrand is None else float(np.asarray(integrand(mean[None, :]))[0])
-            frozen = QuadResult(val, 0.0, True)
-        return frozen
+        return _point_mass(mean, t, integrand)
     return _qmc_region_estimate(mean, factor, t, integrand, spec)
 
 

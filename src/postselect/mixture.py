@@ -254,6 +254,14 @@ class MixtureEngine:
         b, zeta = self._conditional(p)
         shift = self.shifts[p]
         center = self.center_args[p]
+        # The integrand reads z only through u = b'z - b'shift + center, and
+        # varies fast only in windows of half-width 9 sigma zeta: around
+        # |u| = c_p sigma xi_p at known scale, around u = 0 when data driven.
+        # At zeta = 0 the windows close to a jump or a kink.  The window edges
+        # are the breakpoints of the outer rule.
+        offset = float(b @ shift) - center
+        reach = _WINDOW * self.sigma * zeta
+        edge = self.family.critical(p) * self.sigma * self.xi_at(p)
 
         if self.h_df is None:
             tail = float(self.gamma_tail(p, 1.0))
@@ -262,12 +270,17 @@ class MixtureEngine:
                 u = (zb - shift) @ b + center
                 return self._reject_given(p, u, 1.0) * tail
 
-            return gaussian_region_prob(comp, t, integrand, spec)
+            return gaussian_region_prob(
+                comp, t, integrand, spec, projection=b,
+                breakpoints=[offset + e + r for e in (-edge, edge) for r in (-reach, reach)],
+            )
 
         def integrand(zb: np.ndarray) -> np.ndarray:
             return self._smoothed_reject(p, (zb - shift) @ b + center, self.sigma * zeta)
 
-        outer = gaussian_region_prob(comp, t, integrand, spec)
+        outer = gaussian_region_prob(
+            comp, t, integrand, spec, projection=b, breakpoints=(offset - reach, offset + reach)
+        )
         _, err = self._tail_antiderivative(p)
         return QuadResult(
             outer.value, outer.err_est + err, outer.converged and err <= spec.abs_tol

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import postselect as ps
+from postselect import cli
 from postselect.cli import main
 from postselect.config import ConfigError, parse_config, synthetic_design
 
@@ -181,6 +182,12 @@ class TestCurves:
 
     def test_requires_two_regressor(self, tmp_path):
         assert main(["curves", "--config", _write(tmp_path, GENERAL)]) == 2
+
+    def test_unconverged_density_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_spec", lambda cfg: ps.QuadratureSpec(max_nodes=15))
+        cfg = _write(tmp_path, TWO_REG.format(theta2="0.75", reps=10, grid="-2:2:5"))
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical tolerance failure:")
 
 
 class TestSelectionProbs:

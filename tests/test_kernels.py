@@ -1,13 +1,20 @@
 """Kernel primitives: interval probabilities, scaled-chi law, quadratures."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
+from postselect.config import parse_config
+from postselect.distribution import finite_sample_engine
 from postselect.kernels import (
+    _QMC_BATCHES,
+    _QMC_ROOT_SEED,
     QuadratureSpec,
     chi_scaled_density,
     chi_scaled_quantile,
@@ -288,6 +295,119 @@ class TestGaussianRegionProb:
         comp = GaussianComponent(mean_shift=np.zeros(2), covariance=cov, rank=1)
         res = gaussian_region_prob(comp, np.array([0.5, 1.5]))
         assert res.value == pytest.approx(stats.norm.cdf(0.5), abs=5e-4)
+
+    def test_rank_one_bivariate_matches_ndtr(self):
+        # z = (0.1 + x, -0.3 - 2x) with x standard normal: z <= t bounds x on
+        # both sides, so the region probability is a normal interval
+        comp = GaussianComponent(
+            mean_shift=np.array([0.1, -0.3]),
+            covariance=np.array([[1.0, -2.0], [-2.0, 4.0]]),
+            rank=1,
+        )
+        res = gaussian_region_prob(comp, np.array([0.4, 0.9]))
+        assert abs(res.value - (ndtr(0.3) - ndtr(-0.6))) <= 1e-14
+        far = gaussian_region_prob(comp, np.array([8.1, -14.3]))
+        assert far.value == pytest.approx(ndtr(-7.0) - ndtr(-8.0), rel=1e-12)
+        # an integrand reading a projection of zero variance is a constant
+        g = lambda z: 0.3 + 2.0 * z[:, 0] + z[:, 1]
+        const = gaussian_region_prob(comp, np.array([0.4, 0.9]), g, projection=[2.0, 1.0])
+        assert abs(const.value - 0.2 * (ndtr(0.3) - ndtr(-0.6))) <= 1e-14
+
+    def test_low_rank_trivariate_is_deterministic(self):
+        # rank one: z = mean + (1, -2, 0.5) x, so z <= t bounds x on both sides
+        beta = np.array([1.0, -2.0, 0.5])
+        mean = np.array([0.1, -0.3, 0.2])
+        comp = GaussianComponent(mean_shift=mean, covariance=np.outer(beta, beta), rank=1)
+        res = gaussian_region_prob(comp, np.array([0.4, 0.9, 0.6]))
+        assert abs(res.value - (ndtr(0.3) - ndtr(-0.6))) <= 1e-14
+        # rank two: z3 = z1 + z2, inert at t3 = inf
+        cov2 = np.array([[2.0, 0.6], [0.6, 1.0]])
+        lift = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        comp = GaussianComponent(
+            mean_shift=np.array([0.2, -0.1, 0.1]), covariance=lift @ cov2 @ lift.T, rank=2
+        )
+        res = gaussian_region_prob(comp, np.array([0.4, 0.3, np.inf]))
+        want = stats.multivariate_normal(mean=[0.2, -0.1], cov=cov2).cdf([0.4, 0.3])
+        assert res.converged
+        assert abs(res.value - want) <= 1e-9
+
+    def test_jump_integrand_with_and_without_breakpoint(self):
+        g = lambda z: (z[:, 0] > 0.3).astype(float)
+        comp = _scalar_normal_component()
+        t = np.array([np.inf])
+        split = gaussian_region_prob(comp, t, g, projection=[1.0], breakpoints=(0.3,))
+        assert split.converged
+        assert abs(split.value - ndtr(-0.3)) <= 1e-13
+        # without the breakpoint the rule localizes the jump by bisection
+        res = gaussian_region_prob(comp, t, g)
+        assert res.converged
+        assert abs(res.value - ndtr(-0.3)) <= res.err_est
+        # a starved budget stops after the first pass and says so
+        starved = gaussian_region_prob(comp, t, g, QuadratureSpec(max_nodes=15))
+        assert not starved.converged
+        assert abs(starved.value - ndtr(-0.3)) <= starved.err_est
+
+    def test_qmc_matches_scipy_trivariate_cdf(self):
+        cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.5]])
+        comp = GaussianComponent(mean_shift=np.array([0.2, -0.1, 0.4]), covariance=cov, rank=3)
+        t = np.array([0.4, 0.3, 0.9])
+        res = gaussian_region_prob(comp, t)
+        want = stats.multivariate_normal(mean=comp.mean_shift, cov=cov).cdf(t)
+        assert res.converged
+        assert abs(res.value - want) <= max(res.err_est, 2e-4)
+
+    def test_qmc_evaluates_integrand_only_inside_region(self):
+        cov = np.array([[1.0, 0.4, 0.1], [0.4, 1.2, -0.2], [0.1, -0.2, 0.8]])
+        mean = np.array([0.1, -0.2, 0.3])
+        comp = GaussianComponent(mean_shift=mean, covariance=cov, rank=3)
+        t = np.array([0.5, 0.2, 0.6])
+        spec = QuadratureSpec(qmc_tol=0.5, qmc_initial=1 << 10)  # one pass
+        g = lambda z: np.cos(z.sum(axis=1))
+        seen = []
+        res = gaussian_region_prob(comp, t, lambda z: seen.append(z) or g(z), spec)
+        assert res.converged
+        assert all(np.all(z <= t) for z in seen)
+        assert sum(len(z) for z in seen) < spec.qmc_initial
+        # the estimate of evaluating g on every point and masking afterwards
+        factor = rank_factor(cov)
+        per_batch = spec.qmc_initial // _QMC_BATCHES
+        batch_means = []
+        for b in range(_QMC_BATCHES):
+            sob = qmc.Sobol(d=3, scramble=True, seed=np.random.default_rng(_QMC_ROOT_SEED + b))
+            u = np.clip(sob.random(per_batch), 0.5**54, 1.0 - 0.5**54)
+            z = mean + ndtri(u) @ factor.T
+            vals = np.where(np.all(z <= t, axis=1), g(z), 0.0)
+            batch_means.append(vals.sum() / per_batch)
+        assert abs(res.value - np.mean(batch_means)) <= 1e-15
+
+
+GENERAL_DESIGN_INI = Path(__file__).resolve().parents[1] / "scripts/configs/general_design.ini"
+
+# Order-2 and order-3 terms of the cdf of the bivariate target of
+# general_design.ini at t = (0.15, 0.25), keyed by (variant, order): order 2
+# has zeta = 0 (a jump in the integrand at known scale, a kink when data
+# driven), order 3 has zeta > 0.  Frozen from 2-D scipy dblquad at
+# epsabs 1e-13 over z > mean - 9 sd, with the outer range split where the
+# order-2 integrand jumps or kinks.
+DBLQUAD_TERMS = {
+    ("known", 2): 0.01168016427156819,
+    ("known", 3): 0.014637473358353663,
+    ("unknown", 2): 0.012940154512339775,
+    ("unknown", 3): 0.01649996210070875,
+}
+
+
+class TestConditionedTerms:
+    @pytest.mark.parametrize("variant", ["known", "unknown"])
+    def test_bivariate_terms_match_2d_reference(self, variant):
+        cfg = parse_config(GENERAL_DESIGN_INI)
+        engine = finite_sample_engine(cfg.design, cfg.family, cfg.target, cfg.params, variant)
+        for p in (2, 3):
+            res = engine.term_cdf(p, np.array([0.15, 0.25]))
+            gap = abs(res.value - DBLQUAD_TERMS[variant, p])
+            assert res.converged
+            assert gap <= 1e-12
+            assert gap <= res.err_est
 
 
 class TestSampling:
