@@ -37,7 +37,6 @@ from .kernels import (
     chi_scaled_quantile,
     delta,
     gaussian_region_prob,
-    integrate_against_h,
     sample_gaussian,
 )
 from .model import (
@@ -97,7 +96,6 @@ __all__ = [
     "chi_scaled_quantile",
     "delta",
     "gaussian_region_prob",
-    "integrate_against_h",
     "sample_gaussian",
     "GaussianComponent",
     "IllConditionedError",

@@ -81,20 +81,16 @@ def cmd_curves(cfg: RunConfig, outdir: Path) -> None:
     weight_rows = []
     for setting in cfg.settings():
         sd_narrow = setting.sigma1 * np.sqrt(1.0 - setting.rho**2)
-        rows = []
-        for t in grid:
-            densities = [
-                _check(_two_regressor_density(setting, variant, t, spec))
-                for variant in ("unknown", "known", "cond_m1", "cond_m2")
-            ]
-            rows.append(
-                (
-                    t,
-                    *densities,
-                    norm_pdf(t / sd_narrow) / sd_narrow,
-                    norm_pdf(t / setting.sigma1) / setting.sigma1,
-                )
-            )
+        densities = [
+            _check(_two_regressor_density(setting, variant, grid, spec))
+            for variant in ("unknown", "known", "cond_m1", "cond_m2")
+        ]
+        rows = zip(
+            grid,
+            *densities,
+            norm_pdf(grid / sd_narrow) / sd_narrow,
+            norm_pdf(grid / setting.sigma1) / setting.sigma1,
+        )
         _write_csv(
             outdir / f"curves_theta2_{setting.theta2:g}.csv",
             _meta(cfg),
@@ -276,8 +272,12 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed: must be >= 0")
             cfg.seed = args.seed
         if args.replications is not None:
+            if args.replications < 1:
+                raise ConfigError("--replications: must be >= 1")
             cfg.replications = args.replications
         if args.grid is not None:
             from .config import _parse_grid

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,6 +124,8 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError("expected LO:HI:COUNT")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("LO and HI must be finite")
     if count < 2 or not lo < hi:
         raise ValueError("need LO < HI and COUNT >= 2")
     return lo, hi, count
@@ -163,12 +166,13 @@ def parse_config(path) -> RunConfig:
         cfg.theta2_panels = tuple(panels)
         if not abs(cfg.rho) < 1.0:
             raise ConfigError("model.rho: need |rho| < 1")
-        if cfg.sigma1 <= 0.0:
-            raise ConfigError("model.sigma1: must be positive")
-        if cfg.sigma2 <= 0.0:
-            raise ConfigError("model.sigma2: must be positive")
-        if cfg.c2 <= 0.0:
-            raise ConfigError("model.c2: must be positive")
+        for name in ("sigma1", "sigma2", "c2"):
+            if not 0.0 < getattr(cfg, name) < math.inf:
+                raise ConfigError(f"model.{name}: must be positive and finite")
+        if not math.isfinite(cfg.theta1):
+            raise ConfigError("model.theta1: must be finite")
+        if not all(math.isfinite(t2) for t2 in panels):
+            raise ConfigError("model.theta2: every value must be finite")
         if cfg.n <= 2:
             raise ConfigError("model.n: need n > 2")
     else:
@@ -223,7 +227,10 @@ def parse_config(path) -> RunConfig:
         cfg.seed = int(run.get("seed", cfg.seed))
         cfg.replications = int(run.get("replications", cfg.replications))
         if "grid" in run:
-            cfg.grid = _parse_grid(run["grid"])
+            try:
+                cfg.grid = _parse_grid(run["grid"])
+            except ValueError as exc:
+                raise ConfigError(f"run.grid: {exc}") from exc
         cfg.variant = run.get("variant", cfg.variant).strip()
         cfg.out = run.get("out", cfg.out)
         cfg.abs_tol = float(run.get("abs_tol", cfg.abs_tol))
@@ -235,6 +242,10 @@ def parse_config(path) -> RunConfig:
         raise
     except Exception as exc:
         raise ConfigError(f"run: {exc}") from exc
+    if cfg.seed < 0:
+        raise ConfigError("run.seed: must be >= 0")
+    if any(n <= 2 for n in cfg.n_list):
+        raise ConfigError("run.n_list: every n must exceed 2")
     if cfg.variant not in ("known", "unknown"):
         raise ConfigError(f"run.variant: must be known or unknown, got {cfg.variant!r}")
     if cfg.replications < 1:

@@ -7,12 +7,14 @@ contributes a shifted Gaussian cdf times acceptance probabilities, every
 higher order a Gaussian region integral whose integrand carries the rejection
 probability of that order's test.  The data-driven (estimated scale) variant
 smooths all acceptance probabilities against the scaled-chi law of the
-residual scale estimate, turning the known-scale formulas into nested
-quadratures.
+residual scale estimate: each such integral is one call of a
+``kernels.ScaleSmoother``.
 
 A two-regressor closed form (one protected regressor, one tested regressor,
 scalar target = first coefficient) is provided both as a fast path and as an
-independent cross-check of the general machinery.
+independent cross-check of the general machinery.  Its independence lies in
+the closed form in (rho, sigma1, sigma2); its scale smoothing uses the same
+evaluator as the engine, with the weight g = 1.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .kernels import (
     DEFAULT_SPEC,
     QuadResult,
     QuadratureSpec,
+    ScaleSmoother,
     delta,
-    integrate_against_h,
     norm_pdf,
 )
-from .mixture import DistributionResult, MixtureEngine
+from .mixture import DistributionResult, MixtureEngine, _require_no_nan
 from .model import (
     ParameterPoint,
     RegressionDesign,
@@ -158,6 +160,7 @@ def weighted_conditional_cdf(
 
     Its total mass as t -> infinity is the order-p selection probability.
     """
+    _require_no_nan(t)
     engine = finite_sample_engine(design, family, target, params, variant)
     if not family.min_order <= p <= family.P:
         raise ValueError(f"order {p} outside [{family.min_order}, {family.P}]")
@@ -193,8 +196,10 @@ class TwoRegressorSetting:
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1.0:
             raise ValueError("need |rho| < 1")
-        if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
-            raise ValueError("sigma1, sigma2 must be positive")
+        if not (0.0 < self.sigma1 < np.inf and 0.0 < self.sigma2 < np.inf):
+            raise ValueError("sigma1, sigma2 must be positive and finite")
+        if not math.isfinite(self.theta2):
+            raise ValueError("theta2 must be finite")
         if self.n <= 2:
             raise ValueError("need n > 2")
         if not (0.0 < self.c2 < np.inf):
@@ -232,44 +237,44 @@ def two_regressor_density(
     the known-scale densities conditional on selecting the restricted and the
     full model.
     """
-    return _two_regressor_density(setting, variant, t, spec).value
+    return float(_two_regressor_density(setting, variant, t, spec).value)
 
 
 def _two_regressor_density(
     setting: TwoRegressorSetting,
     variant: str,
-    t: float,
+    t,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
-    """``two_regressor_density`` with the error estimate and convergence flag
-    of its scale integrals (exact forms report 0 and True)."""
+    """``two_regressor_density`` at every point of ``t`` (any shape), with the
+    error estimate and convergence flag of its scale integrals (exact forms
+    report 0 and True).  ``value`` and ``err_est`` have the shape of ``t``."""
+    _require_no_nan(t)
+    t = np.asarray(t, dtype=float)
     rho, s1, s2, c2 = setting.rho, setting.sigma1, setting.sigma2, setting.c2
     a = math.sqrt(setting.n) * setting.theta2 / s2
     root = math.sqrt(1.0 - rho * rho)
     # density of the order-1 fit (narrower) and the full fit, at their shifts
     phi_restricted = norm_pdf((t + a * rho * s1) / (s1 * root)) / (s1 * root)
     phi_full = norm_pdf(t / s1) / s1
+    # the order-2 test rejects at scale s when |drop_center + Z| >= s c2 / root
+    drop_center = (a + rho * t / s1) / root
 
-    def keep_prob(s: float):
-        return delta(1.0, a, s * c2)
-
-    def drop_given_t(s: float):
-        return 1.0 - delta(1.0, (a + rho * t / s1) / root, s * c2 / root)
-
-    if variant == "known":
-        value = phi_restricted * keep_prob(1.0) + phi_full * drop_given_t(1.0)
-        return QuadResult(value, 0.0, True)
     if variant == "unknown":
-        m = setting.n - 2
-        keep = integrate_against_h(keep_prob, m, spec)
-        drop = integrate_against_h(drop_given_t, m, spec)
+        smoother = ScaleSmoother(setting.n - 2)
+        keep = smoother.mass() - float(smoother.reject(a, 1.0, c2))
+        drop = smoother.reject(drop_center, 1.0, c2 / root)
         return QuadResult(
-            phi_restricted * keep.value + phi_full * drop.value,
-            phi_restricted * keep.err_est + phi_full * drop.err_est,
-            keep.converged and drop.converged,
+            phi_restricted * keep + phi_full * drop,
+            (phi_restricted + phi_full) * smoother.err_est,
+            smoother.converged(spec),
         )
+    keep = delta(1.0, a, c2)
+    drop = 1.0 - delta(1.0, drop_center, c2 / root)
+    if variant == "known":
+        return QuadResult(phi_restricted * keep + phi_full * drop, 0.0, True)
     if variant == "cond_m1":
         return QuadResult(phi_restricted, 0.0, True)
     if variant == "cond_m2":
-        return QuadResult(phi_full * drop_given_t(1.0) / (1.0 - keep_prob(1.0)), 0.0, True)
+        return QuadResult(phi_full * drop / (1.0 - keep), 0.0, True)
     raise ValueError("variant must be one of: known, unknown, cond_m1, cond_m2")

@@ -2,10 +2,14 @@
 
 Everything downstream funnels through a handful of primitives: the two-sided
 Gaussian interval probability ``delta``, the scaled-chi density (the law of
-the residual scale estimate sigma_hat/sigma) with its quantiles, a scalar
-adaptive quadrature against that density (the reference for the mixture
-engine's fixed-rule scale smoothing and the two-regressor closed form),
-lower-orthant Gaussian region integrals, and reproducible Gaussian sampling.
+the residual scale estimate sigma_hat/sigma) with its quantiles, the one
+evaluator of integrals against that density (``ScaleSmoother``, serving the
+mixture engine and the two-regressor closed form alike), lower-orthant
+Gaussian region integrals, and reproducible Gaussian sampling.
+
+The scale smoothing is a fixed rule: a degree-64 Chebyshev interpolant of
+the smoothed weight and its antiderivative, plus a 64-node Gauss-Legendre
+rule across the window in which a rejection probability moves from 1 to 0.
 
 Region integrals of Gaussians of rank at most two (every one- or
 two-dimensional target) condition on the one projection the integrand
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from numpy.random import Generator, Philox
-from scipy import integrate
 from scipy.special import gammaincinv, gammaln, ndtr, ndtri
 from scipy.stats import qmc
 
@@ -38,11 +42,10 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
     "delta",
-    "norm_cdf",
     "norm_pdf",
     "chi_scaled_density",
     "chi_scaled_quantile",
-    "integrate_against_h",
+    "ScaleSmoother",
     "gaussian_region_prob",
     "gaussian_density",
     "rank_factor",
@@ -55,7 +58,16 @@ __all__ = [
 _TAIL_Q = 1e-14
 _GAUSS_TAIL_Q = 1e-16
 
-# Gauss-Kronrod 10/21 rule on [-1, 1], constants as in scipy.integrate.quad_vec:
+# Scale smoothing: degree of the Chebyshev interpolant of each smoothed
+# weight, Gauss-Legendre nodes across the window in which a rejection
+# probability moves from 1 to 0 (half-width 9 conditional standard
+# deviations), and rows per block so that batches keep memory bounded.
+_CHEB_DEGREE = 64
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_WINDOW = 9.0
+_CHUNK_ROWS = 2048
+
+# Gauss-Kronrod 10/21 rule on [-1, 1], constants as in scipy's _quad_vec module:
 # the 21 Kronrod nodes and weights, and the weights of the 10-point Gauss rule
 # on the odd-indexed nodes.
 _GK_NODES = np.array([
@@ -116,9 +128,10 @@ class QuadratureSpec:
     ``max_nodes`` caps the integrand evaluations of one adaptive 1-D
     integral (21 per Gauss-Kronrod subinterval); a rule that would pass it
     stops with ``converged=False``.  The first pass always runs, so a cap
-    below 21 still returns a value.  The mixture engine's scale smoothing
-    uses fixed rules and reports convergence when its error estimate is
-    within ``abs_tol``.  The ``qmc_*`` fields apply only to region
+    below 21 still returns a value.  The scale smoothing (``ScaleSmoother``)
+    is a fixed rule on 65 Chebyshev nodes: it reports convergence when its
+    error estimate is within ``abs_tol`` and those nodes fit within
+    ``max_nodes``.  The ``qmc_*`` fields apply only to region
     integrals of Gaussians of rank three or more in three or more
     dimensions (or of rank two with an integrand given without its
     projection), which use randomized quasi-Monte Carlo: start
@@ -141,17 +154,8 @@ class QuadratureSpec:
         if not (0.0 < self.qmc_tol < 1.0):
             raise ValueError("qmc_tol must lie in (0, 1)")
 
-    @property
-    def subdivision_limit(self) -> int:
-        return max(1, self.max_nodes // 21)
-
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-def norm_cdf(x):
-    """Standard normal cdf (rational erf implementation, ~1e-16 accurate)."""
-    return ndtr(x)
 
 
 def norm_pdf(x):
@@ -218,44 +222,67 @@ def chi_scaled_quantile(m: int, q: float) -> float:
     return float(np.sqrt(2.0 * gammaincinv(0.5 * m, q) / m))
 
 
-def integrate_against_h(
-    f: Callable[[float], float],
-    m: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadResult:
-    """Integral of f(s) against the scaled-chi density over (0, inf).
+class ScaleSmoother:
+    """Integrals against g(s) h(s) ds over the support of the scaled-chi law h.
 
-    ``f`` must be bounded (all integrands used here are products of interval
-    probabilities, hence in [0, 1]).  The integration interval is truncated at
-    the 1e-14 and 1 - 1e-14 quantiles of the scaled-chi law; the discarded
-    tail mass (<= 2e-14 for |f| <= 1) is added to the error estimate.
-
-    The tolerances passed to the adaptive rule carry a safety factor: on
-    integrands with jumps (degenerate interval probabilities) the rule's
-    internal error estimate is optimistic near the discontinuity, and the
-    tighter request pushes the true error below the tolerance actually
-    wanted.  Smooth integrands converge immediately either way.
+    ``m`` is the degrees of freedom of h, whose support I is taken between
+    its 1e-14 and 1 - 1e-14 quantiles; ``g`` maps an array of scales to an
+    array of factors in [0, 1] (None means g = 1).  Construction interpolates
+    g h on I by a degree-64 Chebyshev series and integrates it, once.
+    ``err_est`` bounds the error of that antiderivative: the interpolant's
+    last four coefficients times |I|, plus the 2e-14 of mass of h outside I.
     """
-    s_lo = chi_scaled_quantile(m, _TAIL_Q)
-    s_hi = chi_scaled_quantile(m, 1.0 - _TAIL_Q)
-    eps_abs = max(spec.abs_tol / 100.0, 1e-14)
-    eps_rel = max(spec.rel_tol / 100.0, 1e-13)
 
-    def integrand(s: float) -> float:
-        return float(f(s)) * chi_scaled_density(m, s)
+    def __init__(self, m: int, g: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
+        self.m = int(m)
+        self.g = g
+        self.support = (
+            chi_scaled_quantile(self.m, _TAIL_Q), chi_scaled_quantile(self.m, 1.0 - _TAIL_Q)
+        )
+        s_lo, s_hi = self.support
+        cheb = Chebyshev.interpolate(self._weight, _CHEB_DEGREE, domain=[s_lo, s_hi])
+        self.err_est = float(np.abs(cheb.coef[-4:]).sum()) * (s_hi - s_lo) + 2.0 * _TAIL_Q
+        self._antideriv = cheb.integ(lbnd=s_lo)
 
-    out = integrate.quad(
-        integrand,
-        s_lo,
-        s_hi,
-        epsabs=eps_abs,
-        epsrel=eps_rel,
-        limit=spec.subdivision_limit,
-        full_output=1,
-    )
-    value, abserr = out[0], out[1]
-    converged = len(out) < 4 or float(abserr) <= spec.abs_tol
-    return QuadResult(float(value), float(abserr) + 2.0 * _TAIL_Q, converged)
+    def _weight(self, s: np.ndarray) -> np.ndarray:
+        h = chi_scaled_density(self.m, s)
+        return h if self.g is None else self.g(s) * h
+
+    def mass(self) -> float:
+        """int_I g h ds."""
+        return float(self._antideriv(self.support[1]))
+
+    def reject(self, u, v: float, w: float) -> np.ndarray:
+        """int_I P(|u + v Z| >= s w) g(s) h(s) ds for Z standard normal.
+
+        ``u`` may have any shape; ``v >= 0`` and ``w > 0`` are scalars.  The
+        rejection probability is 1 for s below |u|/w - 9 v/w and 0 above
+        |u|/w + 9 v/w, to better than 1e-18, so the integral is the
+        antiderivative up to the lower end of that window plus a
+        Gauss-Legendre rule of the exact integrand across it.  With v = 0 the
+        window is empty and the integral is the antiderivative at |u|/w.
+        """
+        s_lo, s_hi = self.support
+        a = np.abs(np.asarray(u, dtype=float))
+        flat = a.ravel()
+        lo = np.clip((flat - _WINDOW * v) / w, s_lo, s_hi)
+        hi = np.clip((flat + _WINDOW * v) / w, s_lo, s_hi)
+        out = self._antideriv(lo)
+        # only rows whose window meets I need the rule
+        open_rows = np.flatnonzero(hi > lo)
+        for start in range(0, open_rows.size, _CHUNK_ROWS):
+            rows = open_rows[start:start + _CHUNK_ROWS]
+            half = 0.5 * (hi[rows] - lo[rows])
+            s = (lo[rows] + half)[:, None] + half[:, None] * _GL_NODES
+            f = 1.0 - delta(v, flat[rows, None], s * w)
+            f *= self._weight(s)
+            out[rows] += half * (f @ _GL_WEIGHTS)
+        return out.reshape(a.shape)
+
+    def converged(self, spec: QuadratureSpec) -> bool:
+        """Whether the error estimate meets ``abs_tol`` and the rule's 65 nodes
+        fit within ``max_nodes``."""
+        return self.err_est <= spec.abs_tol and spec.max_nodes > _CHEB_DEGREE
 
 
 def rank_factor(cov: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ interval probabilities, and every higher order contributes a Gaussian region
 integral whose integrand removes the mass on which the order-p test accepts.
 The unknown-scale variant smooths every interval probability against the
 scaled-chi law of the residual scale estimate; weights and rejection terms
-alike go through one evaluator, ``MixtureEngine._smoothed_reject``.
+alike go through one ``kernels.ScaleSmoother`` per order, whose weight is the
+product of the acceptance probabilities of the orders above.
 
 The engine is parameterized by the Cholesky factor of the Gram matrix, the
 interval centers, and the component mean shifts, so the finite-sample case
@@ -20,18 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial import Chebyshev
 
 from .kernels import (
-    _TAIL_Q,
+    _WINDOW,
     DEFAULT_SPEC,
     QuadResult,
     QuadratureSpec,
-    chi_scaled_density,
-    chi_scaled_quantile,
+    ScaleSmoother,
     delta,
     gaussian_density,
     gaussian_region_prob,
@@ -47,14 +47,29 @@ from .model import (
 
 __all__ = ["DistributionResult", "MixtureEngine"]
 
-# Scale smoothing: degree of the Chebyshev interpolant of each tail product
-# against h, Gauss-Legendre nodes across the window in which a rejection
-# probability moves from 1 to 0 (half-width 9 conditional standard
-# deviations), and rows per block so that batches keep memory bounded.
-_CHEB_DEGREE = 64
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_WINDOW = 9.0
-_CHUNK_ROWS = 2048
+
+def _require_no_nan(t) -> None:
+    """Raise ``ValueError`` when the evaluation point ``t`` has a NaN entry."""
+    if np.isnan(np.asarray(t, dtype=float)).any():
+        raise ValueError("evaluation point t must not be NaN")
+
+
+def _accept(test: tuple[float, float, float], s):
+    """Probability that a test (scale d, center c, critical k) accepts at
+    residual scale s: P(|M - c| < s k d) for M ~ N(0, d^2)."""
+    d, c, k = test
+    return delta(d, c, s * k * d)
+
+
+def _accept_all(tests, s):
+    """Product of ``_accept`` over ``tests``.  A module function, not an
+    engine method, so that a smoother weighted by it does not hold the engine
+    that caches the smoother in a reference cycle, which would leave every
+    engine to the cyclic garbage collector."""
+    out = 1.0 if np.isscalar(s) else np.ones_like(np.asarray(s, dtype=float))
+    for test in tests:
+        out = out * _accept(test, s)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +129,15 @@ class MixtureEngine:
         if self.h_df is not None and self.h_df < 1:
             raise ValueError("h_df must be >= 1")
         self._xi = {q: xi_from_factor(self.factor, q) for q in range(p_lo + 1, self.P + 1)}
+        # (sigma xi_q, center, c_q): the order-q test accepts when the scaled
+        # estimate lies within s c_q sigma xi_q of its center
+        self._tests = {
+            q: (self.sigma * self._xi[q], self.center_args[q], family.critical(q))
+            for q in self._xi
+        }
         self._cond: dict[int, tuple[np.ndarray, float]] = {}
         self._comp: dict[int, GaussianComponent] = {}
-        self._antiderivs: dict[int, tuple[Chebyshev, float]] = {}
-        if self.h_df is not None:
-            self._support = (
-                chi_scaled_quantile(self.h_df, _TAIL_Q),
-                chi_scaled_quantile(self.h_df, 1.0 - _TAIL_Q),
-            )
+        self._smoothers: dict[int, ScaleSmoother] = {}
 
     # -- derived quantities ------------------------------------------------
 
@@ -152,15 +168,14 @@ class MixtureEngine:
 
     def gamma(self, q: int, s):
         """Probability that the order-q test accepts, at residual scale s."""
-        sxi = self.sigma * self._xi[q]
-        return delta(sxi, self.center_args[q], s * self.family.critical(q) * sxi)
+        return _accept(self._tests[q], s)
+
+    def _tests_above(self, p: int) -> tuple:
+        return tuple(self._tests[q] for q in range(p + 1, self.P + 1))
 
     def gamma_tail(self, p: int, s):
         """Product of acceptance probabilities for all orders above p."""
-        out = 1.0 if np.isscalar(s) else np.ones_like(np.asarray(s, dtype=float))
-        for q in range(p + 1, self.P + 1):
-            out = out * self.gamma(q, s)
-        return out
+        return _accept_all(self._tests_above(p), s)
 
     def _reject_given(self, p: int, u, s):
         """Probability that the order-p test rejects, given regression value u."""
@@ -170,53 +185,15 @@ class MixtureEngine:
 
     # -- scale smoothing -------------------------------------------------------
 
-    def _tail_antiderivative(self, p: int):
-        """(F_p, err): antiderivative of gamma_tail(p, s) h(s) on the support I.
-
-        F_p integrates a degree-64 Chebyshev interpolant and vanishes at the
-        lower end of I; ``err`` bounds its error by the interpolant's last
-        coefficients times |I|, plus the mass of h outside I.
-        """
-        if p not in self._antiderivs:
-            s_lo, s_hi = self._support
-            cheb = Chebyshev.interpolate(
-                lambda s: self.gamma_tail(p, s) * chi_scaled_density(self.h_df, s),
-                _CHEB_DEGREE,
-                domain=[s_lo, s_hi],
-            )
-            err = float(np.abs(cheb.coef[-4:]).sum()) * (s_hi - s_lo) + 2.0 * _TAIL_Q
-            self._antiderivs[p] = (cheb.integ(lbnd=s_lo), err)
-        return self._antiderivs[p]
+    def smoother(self, p: int) -> ScaleSmoother:
+        """Smoother of order p: the scaled-chi law weighted by gamma_tail(p, .)."""
+        if p not in self._smoothers:
+            self._smoothers[p] = ScaleSmoother(self.h_df, partial(_accept_all, self._tests_above(p)))
+        return self._smoothers[p]
 
     def _smoothed_reject(self, p: int, u, v: float) -> np.ndarray:
-        """S_p(u, v) = int_I P(|u + v Z| >= s w_p) gamma_tail(p, s) h(s) ds.
-
-        Here w_p = c_p sigma xi_p, Z is standard normal and I the support of
-        the scaled-chi law h.  ``u`` may have any shape.  The rejection
-        probability is 1 for s below |u|/w_p - 9 v/w_p and 0 above
-        |u|/w_p + 9 v/w_p, to better than 1e-18, so S_p is the
-        antiderivative of the tail product up to the lower end of that window
-        plus a Gauss-Legendre rule of the exact integrand across it.  With
-        v = 0 the window is empty and S_p is the antiderivative at |u|/w_p.
-        """
-        antideriv, _ = self._tail_antiderivative(p)
-        s_lo, s_hi = self._support
-        w = self.family.critical(p) * self.sigma * self.xi_at(p)
-        a = np.abs(np.asarray(u, dtype=float))
-        flat = a.ravel()
-        lo = np.clip((flat - _WINDOW * v) / w, s_lo, s_hi)
-        hi = np.clip((flat + _WINDOW * v) / w, s_lo, s_hi)
-        out = antideriv(lo)
-        # only rows whose window meets I need the rule
-        open_rows = np.flatnonzero(hi > lo)
-        for start in range(0, open_rows.size, _CHUNK_ROWS):
-            rows = open_rows[start:start + _CHUNK_ROWS]
-            half = 0.5 * (hi[rows] - lo[rows])
-            s = (lo[rows] + half)[:, None] + half[:, None] * _GL_NODES
-            f = 1.0 - delta(v, flat[rows, None], s * w)
-            f *= self.gamma_tail(p, s) * chi_scaled_density(self.h_df, s)
-            out[rows] += half * (f @ _GL_WEIGHTS)
-        return out.reshape(a.shape)
+        """int_I P(|u + v Z| >= s c_p sigma xi_p) gamma_tail(p, s) h(s) ds."""
+        return self.smoother(p).reject(u, v, self.family.critical(p) * self.sigma * self.xi_at(p))
 
     # -- selection weights ---------------------------------------------------
 
@@ -230,12 +207,12 @@ class MixtureEngine:
             else:
                 val = float((1.0 - self.gamma(p, 1.0)) * self.gamma_tail(p, 1.0))
             return QuadResult(val, 0.0, True)
-        antideriv, err = self._tail_antiderivative(p)
+        smoother = self.smoother(p)
         if p == self.p_lo:
-            val = float(antideriv(self._support[1]))
+            val = smoother.mass()
         else:
             val = float(self._smoothed_reject(p, self.center_args[p], self.sigma * self.xi_at(p)))
-        return QuadResult(val, err, err <= spec.abs_tol)
+        return QuadResult(val, smoother.err_est, smoother.converged(spec))
 
     # -- cdf terms ------------------------------------------------------------
 
@@ -281,9 +258,10 @@ class MixtureEngine:
         outer = gaussian_region_prob(
             comp, t, integrand, spec, projection=b, breakpoints=(offset - reach, offset + reach)
         )
-        _, err = self._tail_antiderivative(p)
+        smoother = self.smoother(p)
         return QuadResult(
-            outer.value, outer.err_est + err, outer.converged and err <= spec.abs_tol
+            outer.value, outer.err_est + smoother.err_est,
+            outer.converged and smoother.converged(spec),
         )
 
     # -- density terms ----------------------------------------------------------
@@ -302,15 +280,14 @@ class MixtureEngine:
             val = float(self._reject_given(p, u, 1.0) * self.gamma_tail(p, 1.0))
             return QuadResult(val * pdf, 0.0, True)
         val = float(self._smoothed_reject(p, u, self.sigma * zeta))
-        _, err = self._tail_antiderivative(p)
-        return QuadResult(val * pdf, err * pdf, err <= spec.abs_tol)
+        smoother = self.smoother(p)
+        return QuadResult(val * pdf, smoother.err_est * pdf, smoother.converged(spec))
 
     # -- assembly -----------------------------------------------------------------
 
     def _assemble(self, term, t, spec: QuadratureSpec, clip_unit: bool) -> DistributionResult:
         """Sum ``term(p, t, spec)`` over the candidate orders."""
-        if np.any(np.isnan(np.asarray(t, dtype=float))):
-            raise ValueError("evaluation point t must not be NaN")
+        _require_no_nan(t)
         terms = np.zeros(self.P - self.family.min_order + 1)
         err = 0.0
         ok = True

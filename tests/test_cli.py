@@ -125,6 +125,30 @@ class TestExitCodes:
         assert "--grid" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "old,new,flags",
+        [
+            ("c2 = 2.015", "c2 = inf", []),
+            ("c2 = 2.015", "c2 = nan", []),
+            ("sigma1 = 1.0", "sigma1 = nan", []),
+            ("theta2 = 0.75", "theta2 = nan", []),
+            ("seed = 99", "seed = 99\nn_list = 2, 7", []),
+            ("seed = 99", "seed = -1", []),
+            ("grid = -2:2:5", "grid = -1:inf:3", []),
+            ("", "", ["--seed", "-1"]),
+            ("", "", ["--grid=-1:inf:3"]),
+            ("", "", ["--replications", "0"]),
+        ],
+        ids=["c2_inf", "c2_nan", "sigma1_nan", "theta2_nan", "n_list_2", "seed_neg",
+             "grid_inf", "seed_flag_neg", "grid_flag_inf", "replications_flag_0"],
+    )
+    def test_invalid_value_is_exit_2(self, tmp_path, capsys, old, new, flags):
+        text = TWO_REG.format(theta2="0.75", reps=10, grid="-2:2:5").replace(old, new, 1)
+        out = tmp_path / "o"
+        assert main(["curves", "--config", _write(tmp_path, text), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_malformed_thread_count_is_exit_2(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("POSTSEL_THREADS", threads)

@@ -1,5 +1,6 @@
 """Finite-sample cdfs/densities and the two-regressor closed forms."""
 
+import gc
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
 import postselect as ps
-from postselect.distribution import finite_sample_engine
+from postselect.distribution import _two_regressor_density, finite_sample_engine
 
 from conftest import CLASSIC, PANEL_THETA2, classic_setting
 
@@ -362,21 +363,54 @@ class TestTwoRegressorClosedForm:
         )
         assert mean == pytest.approx(-math.sqrt(7) * 0.75 * 0.75, abs=1e-9)
 
+    @pytest.mark.parametrize("variant", ["known", "unknown", "cond_m1", "cond_m2"])
+    def test_grid_matches_pointwise(self, variant):
+        setting = classic_setting(0.75)
+        grid = np.linspace(-6.0, 6.0, 241)
+        res = _two_regressor_density(setting, variant, grid)
+        assert res.converged
+        assert np.shape(res.value) == grid.shape
+        for t, got in zip(grid, res.value):
+            point = _two_regressor_density(setting, variant, float(t))
+            assert abs(got - point.value) <= 1e-15
+
 
 class TestResultInvariants:
     @pytest.mark.parametrize(
         "entry",
-        ["cdf_known_variance", "cdf_unknown_variance", "density_known_variance", "limit_cdf"],
+        ["cdf_known_variance", "cdf_unknown_variance", "density_known_variance", "limit_cdf",
+         "weighted_conditional_cdf", "two_regressor_density"],
     )
     def test_nan_argument_rejected(self, classic_components, entry):
         design, family, target, params = classic_components
+        kwargs = {}
         if entry == "limit_cdf":
             limit = ps.LimitParameter(psi=np.array([np.inf, 2.0]), sigma=1.0, Q=design.gram)
             args = (limit, family, target)
+        elif entry == "weighted_conditional_cdf":
+            args = (design, family, target, params, 1)
+            kwargs = {"variant": "known"}
+        elif entry == "two_regressor_density":
+            args = (classic_setting(0.75), "unknown")
         else:
             args = (design, family, target, params)
         with pytest.raises(ValueError, match="NaN"):
-            getattr(ps, entry)(*args, float("nan"))
+            getattr(ps, entry)(*args, float("nan"), **kwargs)
+
+    def test_evaluation_leaves_no_cyclic_garbage(self, classic_components):
+        # engines and their smoothers must be freed by reference counting;
+        # a reference cycle leaves each one to the cyclic collector, which
+        # slows every evaluation
+        design, family, target, params = classic_components
+        gc.collect()
+        gc.disable()
+        try:
+            ps.cdf_unknown_variance(design, family, target, params, 0.4)
+            ps.density_unknown_variance(design, family, target, params, -1.1)
+            ps.two_regressor_density(classic_setting(0.75), "unknown", 0.4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_error_estimate_covers_gap(self, classic_components):
         design, family, target, params = classic_components

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
@@ -15,18 +15,46 @@ from postselect.distribution import finite_sample_engine
 from postselect.kernels import (
     _QMC_BATCHES,
     _QMC_ROOT_SEED,
+    _TAIL_Q,
+    DEFAULT_SPEC,
+    QuadResult,
     QuadratureSpec,
+    ScaleSmoother,
     chi_scaled_density,
     chi_scaled_quantile,
     delta,
     gaussian_region_prob,
-    integrate_against_h,
     normals_from_stream,
     rank_factor,
     sample_gaussian,
 )
 from postselect.mixture import MixtureEngine
 from postselect.model import GaussianComponent, SelectionFamily
+
+
+def integrate_against_h(f, m, spec=DEFAULT_SPEC):
+    """Differential oracle: scalar adaptive quadrature of f(s) h_m(s) ds.
+
+    scipy's QUADPACK rule on the support I of the scaled-chi law (its 1e-14
+    and 1 - 1e-14 quantiles), at a hundredth of the requested tolerances
+    (its estimate is optimistic next to jumps), with at most one subinterval
+    per 21 of ``spec.max_nodes``.  The truncated mass (<= 2e-14 for
+    |f| <= 1) is added to the error estimate.
+    """
+    s_lo = chi_scaled_quantile(m, _TAIL_Q)
+    s_hi = chi_scaled_quantile(m, 1.0 - _TAIL_Q)
+    out = integrate.quad(
+        lambda s: float(f(s)) * chi_scaled_density(m, s),
+        s_lo,
+        s_hi,
+        epsabs=max(spec.abs_tol / 100.0, 1e-14),
+        epsrel=max(spec.rel_tol / 100.0, 1e-13),
+        limit=max(1, spec.max_nodes // 21),
+        full_output=1,
+    )
+    value, abserr = out[0], out[1]
+    converged = len(out) < 4 or float(abserr) <= spec.abs_tol
+    return QuadResult(float(value), float(abserr) + 2.0 * _TAIL_Q, converged)
 
 # Frozen against a 30-digit mpmath normal-cdf oracle (independent of the
 # scipy implementation under test).
@@ -212,7 +240,7 @@ class TestScaleSmoothing:
     @pytest.mark.parametrize("m", [1, 5, 48])
     def test_matches_high_precision_oracle(self, m):
         engine = self._engine(m)
-        _, err = engine._tail_antiderivative(2)
+        err = engine.smoother(2).err_est
         for (df, v, u), want in MP_SMOOTHED_REJECT.items():
             if df != m:
                 continue
@@ -233,6 +261,18 @@ class TestScaleSmoothing:
                     lambda s: (1.0 - delta(v, ui, 2.015 * s)) * engine.gamma_tail(2, s), m
                 )
                 assert got == pytest.approx(ref.value, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 5, 48])
+    def test_unit_tail_matches_noncentral_t(self, m):
+        # with g = 1, (u + vZ) / (v S) is noncentral t with m df and
+        # noncentrality u/v, so the integral is P(|T| >= w/v)
+        smoother = ScaleSmoother(m)
+        u = np.array([0.0, 0.8, -2.5, 4.0])
+        for v, w in ((1.0, 2.015), (0.3, 1.2), (2.0, 0.5)):
+            got = smoother.reject(u, v, w)
+            want = stats.nct.sf(w / v, m, u / v) + stats.nct.cdf(-w / v, m, u / v)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert smoother.mass() == pytest.approx(1.0, abs=1e-13)
 
 
 def _scalar_normal_component(mean=0.0, var=1.0):
