@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import DistributionResult, cdf_known_variance, cdf_unknown_variance
+from .distribution import DistributionResult, finite_sample_engine
 from .kernels import DEFAULT_SPEC, QuadratureSpec
 from .mixture import MixtureEngine
 from .model import (
@@ -223,8 +223,4 @@ def recentered_cdf(
         raise ValueError("d must have the same length as theta")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     shifted = t + math.sqrt(design.n) * (target.A @ (d - params.theta))
-    if variant == "unknown":
-        return cdf_unknown_variance(design, family, target, params, shifted, spec)
-    if variant == "known":
-        return cdf_known_variance(design, family, target, params, shifted, spec)
-    raise ValueError("variant must be 'known' or 'unknown'")
+    return finite_sample_engine(design, family, target, params, variant).cdf(shifted, spec)

@@ -16,17 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotic import LimitParameter, limit_cdf, local_shift_vector
+from .asymptotic import LimitParameter, limit_engine, local_shift_vector
 from .config import ConfigError, RunConfig, parse_config
-from .distribution import (
-    TwoRegressorSetting,
-    cdf_known_variance,
-    cdf_unknown_variance,
-    _two_regressor_density,
-)
+from .distribution import TwoRegressorSetting, _two_regressor_density, finite_sample_engine
 from .kernels import QuadratureSpec, norm_pdf
 from .montecarlo import ks_distance, ks_grid, simulate, write_report_csv
-from .selection import selection_prob_known, selection_prob_unknown
 
 __all__ = ["main"]
 
@@ -98,14 +92,12 @@ def cmd_curves(cfg: RunConfig, outdir: Path) -> None:
              "gauss_m1", "gauss_m2"],
             rows,
         )
-        design, family, target, params = setting.components(theta1=cfg.theta1, seed=cfg.seed)
-        weight_rows.append(
-            (
-                setting.theta2,
-                selection_prob_known(design, family, params, 1),
-                selection_prob_unknown(design, family, params, 1, spec),
-            )
-        )
+        design, family, _, params = setting.components(theta1=cfg.theta1, seed=cfg.seed)
+        keep = [
+            finite_sample_engine(design, family, None, params, variant).weight(1, spec).value
+            for variant in ("known", "unknown")
+        ]
+        weight_rows.append((setting.theta2, *keep))
     _write_csv(
         outdir / "selection_weights.csv",
         _meta(cfg),
@@ -118,29 +110,20 @@ def cmd_selection_probs(cfg: RunConfig, outdir: Path) -> None:
     """Selection probabilities per order, both variants, optional MC column."""
     spec = _spec(cfg)
     design, family, target, params = _general_components(cfg)
-    rows = []
-    known = []
-    unknown = []
-    freqs = None
+    probs = {}
+    for variant in ("known", "unknown"):
+        engine = finite_sample_engine(design, family, None, params, variant)
+        probs[variant] = [engine.weight(p, spec).value for p in family.orders]
+        total = sum(probs[variant])
+        if abs(total - 1.0) > 1e-6:
+            raise ToleranceFailure(f"{variant} selection probabilities sum to {total}")
+    columns_data = [family.orders, probs["known"], probs["unknown"]]
     if cfg.mc_check:
         report = simulate(design, family, target, params, cfg.replications,
                           cfg.variant, cfg.seed)
-        freqs = {
-            p: float(np.mean(report.selected == p)) for p in family.orders
-        }
-    for p in family.orders:
-        kv = selection_prob_known(design, family, params, p)
-        uv = selection_prob_unknown(design, family, params, p, spec)
-        known.append(kv)
-        unknown.append(uv)
-        row = [p, kv, uv]
-        if freqs is not None:
-            row.append(freqs[p])
-        rows.append(row)
-    for name, total in (("known", sum(known)), ("unknown", sum(unknown))):
-        if abs(total - 1.0) > 1e-6:
-            raise ToleranceFailure(f"{name} selection probabilities sum to {total}")
-    columns = ["p", "known", "unknown"] + (["mc_freq"] if freqs is not None else [])
+        columns_data.append([float(np.mean(report.selected == p)) for p in family.orders])
+    rows = zip(*columns_data)
+    columns = ["p", "known", "unknown"] + (["mc_freq"] if cfg.mc_check else [])
     _write_csv(outdir / "selection_probs.csv", _meta(cfg), columns, rows)
 
 
@@ -165,25 +148,25 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> None:
         st = TwoRegressorSetting(rho=base.rho, sigma1=base.sigma1, sigma2=base.sigma2,
                                  theta2=psi2 / np.sqrt(n), n=n, c2=base.c2)
         design, family, target, params = st.components(theta1=cfg.theta1, seed=cfg.seed)
-        limit = LimitParameter(psi=psi, sigma=params.sigma, Q=design.gram)
+        unknown, known = (
+            finite_sample_engine(design, family, target, params, variant)
+            for variant in ("unknown", "known")
+        )
+        limit = limit_engine(LimitParameter(psi=psi, sigma=params.sigma, Q=design.gram),
+                             family, target)
         d_cdf = 0.0
         d_lim = 0.0
         for t in grid:
-            g_unknown = _check(cdf_unknown_variance(design, family, target, params, t, spec))
-            g_known = _check(cdf_known_variance(design, family, target, params, t, spec))
-            lim = _check(limit_cdf(limit, family, target, t, spec))
+            g_unknown = _check(unknown.cdf(t, spec))
+            g_known = _check(known.cdf(t, spec))
+            lim = _check(limit.cdf(t, spec))
             base_val = g_unknown if cfg.variant == "unknown" else g_known
             d_cdf = max(d_cdf, abs(g_unknown - g_known))
             d_lim = max(d_lim, abs(base_val - lim))
-        d_sel = 0.0
-        for p in family.orders:
-            d_sel = max(
-                d_sel,
-                abs(
-                    selection_prob_unknown(design, family, params, p, spec)
-                    - selection_prob_known(design, family, params, p)
-                ),
-            )
+        d_sel = max(
+            abs(unknown.weight(p, spec).value - known.weight(p, spec).value)
+            for p in family.orders
+        )
         rows.append((n, d_cdf, d_sel, d_lim))
         sup_cdf.append(d_cdf)
         sup_sel.append(d_sel)
@@ -218,24 +201,16 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> None:
     report = simulate(design, family, target, params, cfg.replications, cfg.variant, cfg.seed)
     write_report_csv(report, outdir / "simulation.csv", _meta(cfg))
 
+    engine = finite_sample_engine(design, family, target, params, cfg.variant)
     summary_cols = ["R", "seed", "variant"]
     summary_row = [report.R, cfg.seed, cfg.variant]
     if target.k == 1:
-        cdf = cdf_unknown_variance if cfg.variant == "unknown" else cdf_known_variance
-        grid = ks_grid(report)
-        ks = ks_distance(
-            report, lambda t: _check(cdf(design, family, target, params, t, spec)), grid
-        )
+        ks = ks_distance(report, lambda t: _check(engine.cdf(t, spec)), ks_grid(report))
         summary_cols.append("ks_distance")
         summary_row.append(ks)
     for p in family.orders:
-        prob = (
-            selection_prob_unknown(design, family, params, p, spec)
-            if cfg.variant == "unknown"
-            else selection_prob_known(design, family, params, p)
-        )
         summary_cols += [f"freq_p{p}", f"prob_p{p}"]
-        summary_row += [float(np.mean(report.selected == p)), prob]
+        summary_row += [float(np.mean(report.selected == p)), engine.weight(p, spec).value]
     _write_csv(outdir / "simulation_summary.csv", _meta(cfg), summary_cols, [summary_row])
 
 

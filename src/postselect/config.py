@@ -119,6 +119,11 @@ def _require(section, key: str, cast, where: str):
         raise ConfigError(f"{where}.{key}: {exc}") from exc
 
 
+# Largest evaluation grid: a million points is far beyond any plotted curve,
+# and a larger COUNT is a typo that would exhaust memory in the grid array.
+_MAX_GRID_COUNT = 1_000_000
+
+
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     parts = raw.split(":")
     if len(parts) != 3:
@@ -128,6 +133,8 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
         raise ValueError("LO and HI must be finite")
     if count < 2 or not lo < hi:
         raise ValueError("need LO < HI and COUNT >= 2")
+    if count > _MAX_GRID_COUNT:
+        raise ValueError(f"COUNT must be at most {_MAX_GRID_COUNT}")
     return lo, hi, count
 
 

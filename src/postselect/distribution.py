@@ -5,16 +5,18 @@ fits by restricted least squares in the selected model.  Its cdf is a sum
 over candidate orders of weighted conditional components; the lowest order
 contributes a shifted Gaussian cdf times acceptance probabilities, every
 higher order a Gaussian region integral whose integrand carries the rejection
-probability of that order's test.  The data-driven (estimated scale) variant
-smooths all acceptance probabilities against the scaled-chi law of the
-residual scale estimate: each such integral is one call of a
-``kernels.ScaleSmoother``.
+probability of that order's test.  The two variants differ only in the law
+of the residual scale ratio against which those probabilities are
+integrated: the scaled-chi law for the data-driven (estimated scale)
+selector (``kernels.ScaleSmoother``), the point mass at s = 1 for the known
+scale (``kernels.PointScale``); ``finite_sample_engine`` picks the law
+through ``h_df``.
 
 A two-regressor closed form (one protected regressor, one tested regressor,
 scalar target = first coefficient) is provided both as a fast path and as an
 independent cross-check of the general machinery.  Its independence lies in
-the closed form in (rho, sigma1, sigma2); its scale smoothing uses the same
-evaluator as the engine, with the weight g = 1.
+the closed form in (rho, sigma1, sigma2); its scale integrals use the same
+two laws as the engine, with the weight g = 1.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import numpy as np
 
 from .kernels import (
     DEFAULT_SPEC,
+    PointScale,
     QuadResult,
     QuadratureSpec,
     ScaleSmoother,
-    delta,
     norm_pdf,
 )
 from .mixture import DistributionResult, MixtureEngine, _require_no_nan
@@ -64,34 +66,34 @@ class DensityUndefinedError(ValueError):
     """The distribution has no Lebesgue density for this target transform."""
 
 
-def _check_consistent(design, family, target, params):
-    if family.P != design.P:
-        raise ValueError("family order range inconsistent with design")
-    if target.P != design.P:
-        raise ValueError("target transform width inconsistent with design")
-    if params.theta.size != design.P:
-        raise ValueError("theta length inconsistent with design")
-
-
 def finite_sample_engine(
     design: RegressionDesign,
     family: SelectionFamily,
-    target: TargetFunctional,
+    target: TargetFunctional | None,
     params: ParameterPoint,
     variant: str,
 ) -> MixtureEngine:
-    """Mixture engine bound to the finite-sample shifts and interval centers."""
+    """Mixture engine bound to the finite-sample shifts and interval centers.
+
+    With ``target=None`` the engine carries no shifts and evaluates only the
+    selection weights.
+    """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    _check_consistent(design, family, target, params)
+    if family.P != design.P:
+        raise ValueError("family order range inconsistent with design")
+    if target is not None and target.P != design.P:
+        raise ValueError("target transform width inconsistent with design")
+    if params.theta.size != design.P:
+        raise ValueError("theta length inconsistent with design")
     rootn = math.sqrt(design.n)
     O = family.min_order
-    etas = {p: restricted_ls_mean(design, params.theta, p) for p in range(O, design.P + 1)}
-    shifts = {p: rootn * (target.A @ (etas[p] - params.theta)) for p in etas}
-    centers = {}
-    for q in range(O + 1, design.P + 1):
-        eta_q = etas.get(q)
-        centers[q] = rootn * eta_q[q - 1]
+    etas = {p: restricted_ls_mean(design, params.theta, p) for p in range(O + 1, design.P + 1)}
+    centers = {q: rootn * etas[q][q - 1] for q in etas}
+    shifts = None
+    if target is not None:
+        etas[O] = restricted_ls_mean(design, params.theta, O)
+        shifts = {p: rootn * (target.A @ (etas[p] - params.theta)) for p in etas}
     return MixtureEngine(
         factor=design.factor,
         sigma=params.sigma,
@@ -99,7 +101,7 @@ def finite_sample_engine(
         p_lo=O,
         center_args=centers,
         shifts=shifts,
-        A=target.A,
+        A=None if target is None else target.A,
         h_df=None if variant == "known" else design.n - design.P,
     )
 
@@ -249,6 +251,8 @@ def _two_regressor_density(
     """``two_regressor_density`` at every point of ``t`` (any shape), with the
     error estimate and convergence flag of its scale integrals (exact forms
     report 0 and True).  ``value`` and ``err_est`` have the shape of ``t``."""
+    if variant not in ("known", "unknown", "cond_m1", "cond_m2"):
+        raise ValueError("variant must be one of: known, unknown, cond_m1, cond_m2")
     _require_no_nan(t)
     t = np.asarray(t, dtype=float)
     rho, s1, s2, c2 = setting.rho, setting.sigma1, setting.sigma2, setting.c2
@@ -260,21 +264,13 @@ def _two_regressor_density(
     # the order-2 test rejects at scale s when |drop_center + Z| >= s c2 / root
     drop_center = (a + rho * t / s1) / root
 
-    if variant == "unknown":
-        smoother = ScaleSmoother(setting.n - 2)
-        keep = smoother.mass() - float(smoother.reject(a, 1.0, c2))
-        drop = smoother.reject(drop_center, 1.0, c2 / root)
-        return QuadResult(
-            phi_restricted * keep + phi_full * drop,
-            (phi_restricted + phi_full) * smoother.err_est,
-            smoother.converged(spec),
-        )
-    keep = delta(1.0, a, c2)
-    drop = 1.0 - delta(1.0, drop_center, c2 / root)
-    if variant == "known":
-        return QuadResult(phi_restricted * keep + phi_full * drop, 0.0, True)
+    law = ScaleSmoother(setting.n - 2) if variant == "unknown" else PointScale()
+    keep = law.mass() - float(law.reject(a, 1.0, c2))
+    drop = law.reject(drop_center, 1.0, c2 / root)
     if variant == "cond_m1":
-        return QuadResult(phi_restricted, 0.0, True)
-    if variant == "cond_m2":
-        return QuadResult(phi_full * drop / (1.0 - keep), 0.0, True)
-    raise ValueError("variant must be one of: known, unknown, cond_m1, cond_m2")
+        value = phi_restricted
+    elif variant == "cond_m2":
+        value = phi_full * drop / (1.0 - keep)
+    else:
+        value = phi_restricted * keep + phi_full * drop
+    return QuadResult(value, (phi_restricted + phi_full) * law.err_est, law.converged(spec))

@@ -2,14 +2,18 @@
 
 Everything downstream funnels through a handful of primitives: the two-sided
 Gaussian interval probability ``delta``, the scaled-chi density (the law of
-the residual scale estimate sigma_hat/sigma) with its quantiles, the one
-evaluator of integrals against that density (``ScaleSmoother``, serving the
-mixture engine and the two-regressor closed form alike), lower-orthant
+the residual scale estimate sigma_hat/sigma) with its quantiles, the two
+laws of that ratio (``ScaleSmoother`` for the data-driven selector,
+``PointScale``, the point mass at s = 1, for the known scale), lower-orthant
 Gaussian region integrals, and reproducible Gaussian sampling.
 
-The scale smoothing is a fixed rule: a degree-64 Chebyshev interpolant of
+The two laws share one interface (``mass``, ``reject``, ``edges``,
+``err_est``, ``converged``), so the mixture engine and the two-regressor
+closed form evaluate both variants with the same code.  Against the chi law
+the scale smoothing is a fixed rule: a degree-64 Chebyshev interpolant of
 the smoothed weight and its antiderivative, plus a 64-node Gauss-Legendre
 rule across the window in which a rejection probability moves from 1 to 0.
+Against the point mass it is the integrand at s = 1, exactly.
 
 Region integrals of Gaussians of rank at most two (every one- or
 two-dimensional target) condition on the one projection the integrand
@@ -46,6 +50,7 @@ __all__ = [
     "chi_scaled_density",
     "chi_scaled_quantile",
     "ScaleSmoother",
+    "PointScale",
     "gaussian_region_prob",
     "gaussian_density",
     "rank_factor",
@@ -279,10 +284,44 @@ class ScaleSmoother:
             out[rows] += half * (f @ _GL_WEIGHTS)
         return out.reshape(a.shape)
 
+    def edges(self, w: float) -> tuple[float, ...]:
+        """Values of u at which ``reject(u, 0, w)`` jumps or kinks: only u = 0,
+        through |u|; elsewhere it is the smooth antiderivative at |u|/w."""
+        return (0.0,)
+
     def converged(self, spec: QuadratureSpec) -> bool:
         """Whether the error estimate meets ``abs_tol`` and the rule's 65 nodes
         fit within ``max_nodes``."""
         return self.err_est <= spec.abs_tol and spec.max_nodes > _CHEB_DEGREE
+
+
+class PointScale:
+    """Integrals against g(s) times the point mass at s = 1: the known scale.
+
+    The twin of ``ScaleSmoother`` for the selector that uses the true sigma:
+    every integral is its integrand at s = 1, so it is exact (``err_est`` is
+    0) and g is evaluated once, at construction.
+    """
+
+    err_est = 0.0
+
+    def __init__(self, g: Callable[[float], float] | None = None) -> None:
+        self._g1 = 1.0 if g is None else float(g(1.0))
+
+    def mass(self) -> float:
+        """g(1)."""
+        return self._g1
+
+    def reject(self, u, v: float, w: float):
+        """P(|u + v Z| >= w) g(1) for Z standard normal, ``u`` of any shape."""
+        return (1.0 - delta(v, u, w)) * self._g1
+
+    def edges(self, w: float) -> tuple[float, ...]:
+        """Values of u at which ``reject(u, 0, w)`` jumps: u = -w and u = w."""
+        return (-w, w)
+
+    def converged(self, spec: QuadratureSpec) -> bool:
+        return True
 
 
 def rank_factor(cov: np.ndarray) -> np.ndarray:

@@ -6,10 +6,13 @@ p of (conditional component) x (selection weight), where the component of the
 lowest order enters as a plain shifted Gaussian cdf times a product of
 interval probabilities, and every higher order contributes a Gaussian region
 integral whose integrand removes the mass on which the order-p test accepts.
-The unknown-scale variant smooths every interval probability against the
-scaled-chi law of the residual scale estimate; weights and rejection terms
-alike go through one ``kernels.ScaleSmoother`` per order, whose weight is the
-product of the acceptance probabilities of the orders above.
+Every interval probability is integrated against the law of the scale ratio
+s = sigma_hat/sigma: the scaled-chi law for the data-driven selector, the
+point mass at s = 1 for the known scale.  The two variants differ only in
+that law: weights, rejection terms and the breakpoints of the outer rule all
+go through one law object per order (``kernels.ScaleSmoother`` or
+``kernels.PointScale``), whose weight is the product of the acceptance
+probabilities of the orders above.
 
 The engine is parameterized by the Cholesky factor of the Gram matrix, the
 interval centers, and the component mean shifts, so the finite-sample case
@@ -29,6 +32,7 @@ import numpy as np
 from .kernels import (
     _WINDOW,
     DEFAULT_SPEC,
+    PointScale,
     QuadResult,
     QuadratureSpec,
     ScaleSmoother,
@@ -54,21 +58,16 @@ def _require_no_nan(t) -> None:
         raise ValueError("evaluation point t must not be NaN")
 
 
-def _accept(test: tuple[float, float, float], s):
-    """Probability that a test (scale d, center c, critical k) accepts at
-    residual scale s: P(|M - c| < s k d) for M ~ N(0, d^2)."""
-    d, c, k = test
-    return delta(d, c, s * k * d)
-
-
 def _accept_all(tests, s):
-    """Product of ``_accept`` over ``tests``.  A module function, not an
-    engine method, so that a smoother weighted by it does not hold the engine
-    that caches the smoother in a reference cycle, which would leave every
-    engine to the cyclic garbage collector."""
+    """Probability that every test (scale d, center c, critical k) in
+    ``tests`` accepts at residual scale s: the product of P(|M - c| < s k d)
+    for M ~ N(0, d^2).  A module function, not an engine method, so that a
+    scale law weighted by it does not hold the engine that caches the law in
+    a reference cycle, which would leave every engine to the cyclic garbage
+    collector."""
     out = 1.0 if np.isscalar(s) else np.ones_like(np.asarray(s, dtype=float))
-    for test in tests:
-        out = out * _accept(test, s)
+    for d, c, k in tests:
+        out = out * delta(d, c, s * k * d)
     return out
 
 
@@ -92,9 +91,11 @@ class MixtureEngine:
     """Evaluator bound to one (factor, sigma, family, target, centers, shifts) tuple.
 
     ``factor`` is the lower Cholesky factor of the Gram matrix (``gram_factor``).
-    ``h_df`` selects the variant: None evaluates the known-scale forms (all
-    interval probabilities at unit residual scale), an integer m smooths them
-    against the scaled-chi density with m degrees of freedom.
+    ``h_df`` selects the law of the residual scale ratio, and with it the
+    variant: None is the point mass at s = 1 (the known-scale forms, all
+    interval probabilities at unit residual scale), an integer m the
+    scaled-chi law with m degrees of freedom (the data-driven forms).  The
+    choice is made once, in ``smoother``; every other method reads the law.
     """
 
     def __init__(
@@ -125,9 +126,9 @@ class MixtureEngine:
                 int(p): np.atleast_1d(np.asarray(shifts[p], dtype=float))
                 for p in range(p_lo, self.P + 1)
             }
-        self.h_df = None if h_df is None else int(h_df)
-        if self.h_df is not None and self.h_df < 1:
+        if h_df is not None and h_df < 1:
             raise ValueError("h_df must be >= 1")
+        self.h_df = h_df
         self._xi = {q: xi_from_factor(self.factor, q) for q in range(p_lo + 1, self.P + 1)}
         # (sigma xi_q, center, c_q): the order-q test accepts when the scaled
         # estimate lies within s c_q sigma xi_q of its center
@@ -137,7 +138,7 @@ class MixtureEngine:
         }
         self._cond: dict[int, tuple[np.ndarray, float]] = {}
         self._comp: dict[int, GaussianComponent] = {}
-        self._smoothers: dict[int, ScaleSmoother] = {}
+        self._smoothers: dict[int, ScaleSmoother | PointScale] = {}
 
     # -- derived quantities ------------------------------------------------
 
@@ -166,10 +167,6 @@ class MixtureEngine:
 
     # -- interval probabilities ---------------------------------------------
 
-    def gamma(self, q: int, s):
-        """Probability that the order-q test accepts, at residual scale s."""
-        return _accept(self._tests[q], s)
-
     def _tests_above(self, p: int) -> tuple:
         return tuple(self._tests[q] for q in range(p + 1, self.P + 1))
 
@@ -177,23 +174,23 @@ class MixtureEngine:
         """Product of acceptance probabilities for all orders above p."""
         return _accept_all(self._tests_above(p), s)
 
-    def _reject_given(self, p: int, u, s):
-        """Probability that the order-p test rejects, given regression value u."""
-        _, zeta = self._conditional(p)
-        width = s * self.family.critical(p) * self.sigma * self.xi_at(p)
-        return 1.0 - delta(self.sigma * zeta, u, width)
-
     # -- scale smoothing -------------------------------------------------------
 
-    def smoother(self, p: int) -> ScaleSmoother:
-        """Smoother of order p: the scaled-chi law weighted by gamma_tail(p, .)."""
+    def smoother(self, p: int) -> ScaleSmoother | PointScale:
+        """Scale law of order p, weighted by gamma_tail(p, .): the point mass
+        at s = 1 for the known scale, else the scaled-chi law."""
         if p not in self._smoothers:
-            self._smoothers[p] = ScaleSmoother(self.h_df, partial(_accept_all, self._tests_above(p)))
+            g = partial(_accept_all, self._tests_above(p))
+            self._smoothers[p] = PointScale(g) if self.h_df is None else ScaleSmoother(self.h_df, g)
         return self._smoothers[p]
 
+    def _width(self, p: int) -> float:
+        """Half-width c_p sigma xi_p of the order-p acceptance interval at s = 1."""
+        return self.family.critical(p) * self.sigma * self.xi_at(p)
+
     def _smoothed_reject(self, p: int, u, v: float) -> np.ndarray:
-        """int_I P(|u + v Z| >= s c_p sigma xi_p) gamma_tail(p, s) h(s) ds."""
-        return self.smoother(p).reject(u, v, self.family.critical(p) * self.sigma * self.xi_at(p))
+        """int P(|u + v Z| >= s c_p sigma xi_p) gamma_tail(p, s) law(ds)."""
+        return self.smoother(p).reject(u, v, self._width(p))
 
     # -- selection weights ---------------------------------------------------
 
@@ -201,12 +198,6 @@ class MixtureEngine:
         """Mass of candidate order p (its selection probability)."""
         if not self.p_lo <= p <= self.P:
             raise ValueError(f"order {p} outside [{self.p_lo}, {self.P}]")
-        if self.h_df is None:
-            if p == self.p_lo:
-                val = float(self.gamma_tail(self.p_lo, 1.0))
-            else:
-                val = float((1.0 - self.gamma(p, 1.0)) * self.gamma_tail(p, 1.0))
-            return QuadResult(val, 0.0, True)
         smoother = self.smoother(p)
         if p == self.p_lo:
             val = smoother.mass()
@@ -232,33 +223,23 @@ class MixtureEngine:
         shift = self.shifts[p]
         center = self.center_args[p]
         # The integrand reads z only through u = b'z - b'shift + center, and
-        # varies fast only in windows of half-width 9 sigma zeta: around
-        # |u| = c_p sigma xi_p at known scale, around u = 0 when data driven.
-        # At zeta = 0 the windows close to a jump or a kink.  The window edges
-        # are the breakpoints of the outer rule.
+        # varies fast only in windows of half-width 9 sigma zeta around the
+        # edges of the scale law (|u| = c_p sigma xi_p at known scale, u = 0
+        # when data driven).  At zeta = 0 the windows close to a jump or a
+        # kink.  The window edges are the breakpoints of the outer rule.
+        smoother = self.smoother(p)
         offset = float(b @ shift) - center
         reach = _WINDOW * self.sigma * zeta
-        edge = self.family.critical(p) * self.sigma * self.xi_at(p)
-
-        if self.h_df is None:
-            tail = float(self.gamma_tail(p, 1.0))
-
-            def integrand(zb: np.ndarray) -> np.ndarray:
-                u = (zb - shift) @ b + center
-                return self._reject_given(p, u, 1.0) * tail
-
-            return gaussian_region_prob(
-                comp, t, integrand, spec, projection=b,
-                breakpoints=[offset + e + r for e in (-edge, edge) for r in (-reach, reach)],
-            )
 
         def integrand(zb: np.ndarray) -> np.ndarray:
             return self._smoothed_reject(p, (zb - shift) @ b + center, self.sigma * zeta)
 
         outer = gaussian_region_prob(
-            comp, t, integrand, spec, projection=b, breakpoints=(offset - reach, offset + reach)
+            comp, t, integrand, spec, projection=b,
+            breakpoints=[
+                offset + e + r for e in smoother.edges(self._width(p)) for r in (-reach, reach)
+            ],
         )
-        smoother = self.smoother(p)
         return QuadResult(
             outer.value, outer.err_est + smoother.err_est,
             outer.converged and smoother.converged(spec),
@@ -276,9 +257,6 @@ class MixtureEngine:
         b, zeta = self._conditional(p)
         x = np.atleast_1d(np.asarray(t, dtype=float)) - self.shifts[p]
         u = float(x @ b) + self.center_args[p]
-        if self.h_df is None:
-            val = float(self._reject_given(p, u, 1.0) * self.gamma_tail(p, 1.0))
-            return QuadResult(val * pdf, 0.0, True)
         val = float(self._smoothed_reject(p, u, self.sigma * zeta))
         smoother = self.smoother(p)
         return QuadResult(val * pdf, smoother.err_est * pdf, smoother.converged(spec))

@@ -6,6 +6,9 @@ all higher-order t-ratios failed theirs; if nothing rejects down to the
 minimal order, the minimal order is selected.  The residual scale is always
 estimated from the full model.  A companion "known scale" selector replaces
 the estimate by the true sigma, which makes every t-ratio exactly Gaussian.
+Both selection probabilities are weights of one weights-only
+``distribution.finite_sample_engine``; the variants differ only in its law
+of the scale ratio sigma_hat/sigma (the point mass at 1 for the known scale).
 """
 
 from __future__ import annotations
@@ -14,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import finite_sample_engine
 from .kernels import DEFAULT_SPEC, QuadratureSpec
-from .mixture import MixtureEngine
-from .model import (
-    ParameterPoint,
-    RegressionDesign,
-    SelectionFamily,
-    restricted_ls_mean,
-)
+from .model import ParameterPoint, RegressionDesign, SelectionFamily
 
 __all__ = [
     "DegenerateResidualError",
@@ -30,7 +28,6 @@ __all__ = [
     "select_model_known_sigma",
     "selection_prob_known",
     "selection_prob_unknown",
-    "selection_engine",
 ]
 
 
@@ -121,31 +118,6 @@ def select_model_known_sigma(
     return _outcome(design, family, Y, scale=sigma)
 
 
-def selection_engine(
-    design: RegressionDesign,
-    family: SelectionFamily,
-    params: ParameterPoint,
-    h_df: int | None,
-) -> MixtureEngine:
-    """Weights-only mixture engine at the given parameters (no target transform)."""
-    if family.P != design.P:
-        raise ValueError("family order range inconsistent with design")
-    rootn = np.sqrt(design.n)
-    O = family.min_order
-    centers = {
-        q: rootn * restricted_ls_mean(design, params.theta, q)[q - 1]
-        for q in range(O + 1, design.P + 1)
-    }
-    return MixtureEngine(
-        factor=design.factor,
-        sigma=params.sigma,
-        family=family,
-        p_lo=O,
-        center_args=centers,
-        h_df=h_df,
-    )
-
-
 def selection_prob_known(
     design: RegressionDesign,
     family: SelectionFamily,
@@ -153,7 +125,7 @@ def selection_prob_known(
     p: int,
 ) -> float:
     """Exact probability that the known-scale selector picks order p."""
-    return selection_engine(design, family, params, h_df=None).weight(p).value
+    return finite_sample_engine(design, family, None, params, "known").weight(p).value
 
 
 def selection_prob_unknown(
@@ -168,5 +140,5 @@ def selection_prob_unknown(
     Smooths the known-scale acceptance probabilities against the scaled-chi
     law of the residual scale estimate (n - P degrees of freedom).
     """
-    engine = selection_engine(design, family, params, h_df=design.n - design.P)
+    engine = finite_sample_engine(design, family, None, params, "unknown")
     return engine.weight(p, spec).value

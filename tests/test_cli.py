@@ -138,9 +138,12 @@ class TestExitCodes:
             ("", "", ["--seed", "-1"]),
             ("", "", ["--grid=-1:inf:3"]),
             ("", "", ["--replications", "0"]),
+            ("grid = -2:2:5", "grid = -1:1:1000001", []),
+            ("", "", ["--grid=-1:1:100000000000"]),
         ],
         ids=["c2_inf", "c2_nan", "sigma1_nan", "theta2_nan", "n_list_2", "seed_neg",
-             "grid_inf", "seed_flag_neg", "grid_flag_inf", "replications_flag_0"],
+             "grid_inf", "seed_flag_neg", "grid_flag_inf", "replications_flag_0",
+             "grid_count_cap", "grid_flag_count_cap"],
     )
     def test_invalid_value_is_exit_2(self, tmp_path, capsys, old, new, flags):
         text = TWO_REG.format(theta2="0.75", reps=10, grid="-2:2:5").replace(old, new, 1)

@@ -408,6 +408,10 @@ class TestResultInvariants:
             ps.cdf_unknown_variance(design, family, target, params, 0.4)
             ps.density_unknown_variance(design, family, target, params, -1.1)
             ps.two_regressor_density(classic_setting(0.75), "unknown", 0.4)
+            ps.cdf_known_variance(design, family, target, params, 0.4)
+            ps.density_known_variance(design, family, target, params, -1.1)
+            ps.selection_prob_known(design, family, params, 2)
+            ps.two_regressor_density(classic_setting(0.75), "known", 0.4)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -262,6 +262,19 @@ class TestScaleSmoothing:
                 )
                 assert got == pytest.approx(ref.value, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [1000, 9998])
+    def test_point_scale_is_large_m_limit(self, m):
+        # the scaled-chi law has mean 1 - O(1/m) and variance O(1/m), so
+        # integrals of smooth functions of s against it approach their value
+        # at s = 1, the point law of the known scale, at rate 1/m
+        smoothed, point = self._engine(m), self._engine(None)
+        for p in (1, 2, 3):
+            assert abs(smoothed.weight(p).value - point.weight(p).value) <= 2.0 / m
+        u = np.array([[0.0, 1.6], [-2.9, 0.9]])
+        for v in (0.06, 0.35):
+            gap = smoothed._smoothed_reject(2, u, v) - point._smoothed_reject(2, u, v)
+            assert np.max(np.abs(gap)) <= 2.0 / m
+
     @pytest.mark.parametrize("m", [1, 5, 48])
     def test_unit_tail_matches_noncentral_t(self, m):
         # with g = 1, (u + vZ) / (v S) is noncentral t with m df and
