@@ -1,12 +1,24 @@
 """Brute-force simulation oracle for the post-selection distributions.
 
-Simulates Y = X theta + sigma u with standard normal noise, runs the actual
-select-then-estimate procedure on every replication, and records the scaled
-transformed estimation errors together with the selected orders.  Noise comes
-from a counter-based (Philox) stream: replications are laid out in fixed-size
-blocks, block b drawing from the b-th jumped substream, so reports are
-bit-for-bit reproducible from (seed, design, params, family, R) regardless of
-how many worker threads process the blocks.
+Runs the select-then-estimate procedure on replications of the model
+Y = X theta + sigma u with standard normal noise, and records the scaled
+transformed estimation errors together with the selected orders.
+
+With X = QR, the selector and every restricted fit read Y only through
+z = Q'y and the full-model residual sum of squares RSS.  For Gaussian noise
+these are independent, z ~ N(R theta, sigma^2 I_P) and RSS ~ sigma^2
+chi^2_{n-P}, so a replication draws exactly those P + 1 numbers instead of
+n noise values: z = R theta + sigma w from P standard normals w and, for the
+data-driven selector, the residual scale sigma sqrt(chi^2_{n-P} / (n - P)).
+The reports therefore have the law of the procedure run on whole responses;
+``TestSimulationStatistics.test_full_response_procedure_agrees_in_law`` in
+``tests/test_montecarlo.py`` keeps that procedure as the oracle.
+
+Draws come from a counter-based (Philox) stream: replications are laid out
+in fixed-size blocks, block b drawing from the b-th jumped substream (first
+the normals, then the chi-squares), so reports are bit-for-bit reproducible
+from (seed, design, params, family, R) regardless of how many worker threads
+process the blocks.  The two selectors see the same z under the same seed.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.linalg import solve_triangular
 
 from .config import ConfigError
@@ -28,7 +40,7 @@ from .model import (
     TargetFunctional,
 )
 from .kernels import normals_from_stream
-from .selection import _largest_admissible, _tstats_and_scale
+from .selection import _largest_admissible, _tratios
 
 __all__ = [
     "SimulationReport",
@@ -41,6 +53,7 @@ __all__ = [
 ]
 
 _VARIANTS = ("known", "unknown")
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 def _worker_count() -> int:
@@ -52,10 +65,10 @@ def _worker_count() -> int:
     return int(env)
 
 
-def _block_rows(n: int) -> int:
-    # keep each block's noise buffer around 16 MB; a function of n only, so
-    # the replication -> stream layout never depends on thread count
-    return int(max(256, min(1 << 14, (1 << 21) // n)))
+def _block_rows(P: int) -> int:
+    # at most 2^17 normals (1 MB) per block; a function of the design only,
+    # so the replication -> stream layout never depends on thread count
+    return int(max(256, min(1 << 14, (1 << 17) // P)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,24 +101,25 @@ def _simulate_block(
     family: SelectionFamily,
     params: ParameterPoint,
     variant: str,
-    maps: dict[int, np.ndarray],
+    maps: np.ndarray,
     base: np.ndarray,
 ):
     n, P = design.n, design.P
-    O = family.min_order
-    stream = Philox(key=seed).jumped(block_index)
-    u = normals_from_stream(stream, (rows, n))
-    Y = (design.X @ params.theta)[None, :] + params.sigma * u  # (rows, n)
+    _, r = design.qr
+    gen = Generator(Philox(key=seed).jumped(block_index))
+    # z = Q'y of each replication (one per column), then the residual scale,
+    # which is independent of z
+    w = normals_from_stream(gen, (rows, P))
+    z = (r @ params.theta)[:, None] + params.sigma * w.T
+    if variant == "unknown":
+        scale = params.sigma * np.sqrt(gen.chisquare(n - P, rows) / (n - P))
+    else:
+        scale = params.sigma
+    selected = _largest_admissible(family, _tratios(design, z, scale))
 
-    scale = None if variant == "unknown" else params.sigma
-    t, _, z = _tstats_and_scale(design, Y, scale)
-    selected = _largest_admissible(family, t)
-
-    draws = np.empty((rows, base.size))
-    for p in range(O, P + 1):
-        mask = selected == p
-        if np.any(mask):
-            draws[mask] = base if p == 0 else (maps[p] @ z[:p, mask]).T + base
+    # every order's fit of every replication, then the selected one's
+    fits = (maps @ z).reshape(-1, base.size, rows)
+    draws = fits[selected - family.min_order, :, np.arange(rows)] + base
     return draws, selected
 
 
@@ -134,16 +148,19 @@ def simulate(
         raise ValueError("family/target inconsistent with design")
 
     # the order-p draw is sqrt(n) A[:, :p] R[:p,:p]^{-1} (Q'y)[:p] + base, the
-    # restricted fit mapped through the target; the order-0 fit is zero
+    # restricted fit mapped through the target; maps stacks the k rows of each
+    # order's operator, zero-padded to P columns (the order-0 fit is zero)
     _, r = design.qr
     rootn = math.sqrt(design.n)
-    maps = {
-        p: rootn * solve_triangular(r[:p, :p], target.A[:, :p].T, trans="T").T
-        for p in range(max(family.min_order, 1), design.P + 1)
-    }
+    k = target.A.shape[0]
+    maps = np.zeros((len(family.orders), k, design.P))
+    for i, p in enumerate(family.orders):
+        if p > 0:
+            maps[i, :, :p] = rootn * solve_triangular(r[:p, :p], target.A[:, :p].T, trans="T").T
+    maps = maps.reshape(-1, design.P)
     base = -rootn * (target.A @ params.theta)
 
-    rows = _block_rows(design.n)
+    rows = _block_rows(design.P)
     n_blocks = (R + rows - 1) // rows
     sizes = [rows] * (n_blocks - 1) + [R - rows * (n_blocks - 1)]
 
@@ -210,13 +227,16 @@ def power_check_noncentral_t(
 
 
 def write_report_csv(report: SimulationReport, path, meta: dict | None = None) -> None:
-    """One row per replication: draw components then the selected order."""
+    """One row per replication: draw components (``%.17g``, round-trip exact)
+    then the selected order."""
     cols = [f"draw_{i + 1}" for i in range(report.k)] + ["selected"]
+    row = ",".join(["%.17g"] * report.k + ["%d"]) + "\n"
     with open(path, "w", newline="") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(cols) + "\n")
-        for r in range(report.R):
-            vals = [format(x, ".17g") for x in report.draws[r]]
-            vals.append(str(int(report.selected[r])))
-            fh.write(",".join(vals) + "\n")
+        for lo in range(0, report.R, _CSV_BLOCK_ROWS):
+            block = slice(lo, lo + _CSV_BLOCK_ROWS)
+            columns = [report.draws[block, i].tolist() for i in range(report.k)]
+            columns.append(report.selected[block].tolist())
+            fh.write("".join([row % vals for vals in zip(*columns)]))

@@ -55,14 +55,14 @@ def _tstats_and_scale(design: RegressionDesign, Y, scale=None):
 
     With X = QR, the order-p fit solves R[:p,:p] coef = (Q'y)[:p], so its p-th
     coefficient is (Q'y)_p / R_pp and its t-ratio sign(R_pp) (Q'y)_p / scale.
-    ``Y`` is (m, n), one response per row; returns (t, scale, z): t is
+    ``Y`` is (m, n), one response per row; returns (t, scale): t is
     (P + 1, m) with t[0] = 0, scale the (m,) residual scales of the full
-    model (or the given scale), and z = Q'Y', whose column i is Q'y_i.
+    model (or the given scale).
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != design.n:
         raise ValueError(f"Y must have length {design.n}")
-    q, r = design.qr
+    q, _ = design.qr
     z = q.T @ Y.T
     if scale is None:
         resid = z.T @ q.T
@@ -79,10 +79,20 @@ def _tstats_and_scale(design: RegressionDesign, Y, scale=None):
         scale[degenerate] = 0.0
     else:
         scale = np.full(len(Y), float(scale))
-    t = np.zeros((design.P + 1, len(Y)))
-    # a zero scale comes with z = 0, whose ratios are 0
+    return _tratios(design, z, scale), scale
+
+
+def _tratios(design: RegressionDesign, z: np.ndarray, scale) -> np.ndarray:
+    """t-ratios (P + 1, m) of every nested order from z = Q'Y' (P, m).
+
+    Order p's ratio is sign(R_pp) z_p / scale, with ``scale`` a scalar or the
+    (m,) residual scales; t[0] = 0.  A zero scale comes with z = 0, whose
+    ratios are 0.
+    """
+    _, r = design.qr
+    t = np.zeros((design.P + 1, z.shape[1]))
     t[1:] = np.sign(np.diag(r))[:, None] * z / np.maximum(scale, np.finfo(float).tiny)
-    return t, scale, z
+    return t
 
 
 def _largest_admissible(family: SelectionFamily, t: np.ndarray) -> np.ndarray:
@@ -97,7 +107,7 @@ def _outcome(design: RegressionDesign, family: SelectionFamily, Y, scale=None):
     if family.P != design.P:
         raise ValueError("family order range inconsistent with design")
     Y = np.atleast_1d(np.asarray(Y, dtype=float))
-    t, scale, _ = _tstats_and_scale(design, Y[None, :], scale)
+    t, scale = _tstats_and_scale(design, Y[None, :], scale)
     t = t[:, 0]
     return SelectionOutcome(
         p_hat=int(_largest_admissible(family, t)), t_stats=t, sigma_hat=float(scale[0])

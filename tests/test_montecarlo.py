@@ -2,14 +2,65 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import postselect as ps
+from postselect.config import synthetic_design
+from postselect.kernels import normals_from_stream
+from postselect.montecarlo import write_report_csv
+from postselect.selection import _largest_admissible, _tstats_and_scale
 
-from conftest import classic_setting
+from conftest import CLASSIC, classic_setting
+
+
+def p10_components():
+    """A seeded P = 10, n = 200 design with a sparse theta and the first
+    coefficient as target."""
+    design = synthetic_design(200, 10, 7)
+    family = ps.SelectionFamily(min_order=1, criticals=(1.96,) * 9)
+    target = ps.TargetFunctional(np.eye(10)[:1])
+    theta = np.array([1.0, 0.15, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return design, family, target, ps.ParameterPoint(theta=theta, sigma=1.0)
+
+
+def order0_k2_components():
+    """P = 3 with minimal order 0 (the empty model) and a bivariate target."""
+    gram = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    design = ps.design_from_gram(50, gram, seed=3)
+    family = ps.SelectionFamily(min_order=0, criticals=(2.0, 2.0, 2.0))
+    target = ps.TargetFunctional(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    params = ps.ParameterPoint(theta=np.array([0.5, 0.3, 0.0]), sigma=1.0)
+    return design, family, target, params
+
+
+PROBLEMS = {
+    "classic": lambda: classic_setting(0.75).components(),
+    "p10": p10_components,
+    "order0_k2": order0_k2_components,
+}
+
+
+def full_response_procedure(design, family, target, params, R, variant, seed):
+    """The select-then-estimate procedure on simulated responses.
+
+    Draws Y = X theta + sigma u in full, selects from its t-ratios and fits
+    each selected order by its own least squares.
+    """
+    Y = design.X @ params.theta + params.sigma * normals_from_stream(seed, (R, design.n))
+    t, _ = _tstats_and_scale(design, Y, None if variant == "unknown" else params.sigma)
+    selected = _largest_admissible(family, t)
+    draws = np.empty((R, target.A.shape[0]))
+    for p in family.orders:
+        rows = selected == p
+        coef = np.zeros((design.P, int(rows.sum())))
+        if p > 0:
+            coef[:p] = np.linalg.lstsq(design.X[:, :p], Y[rows].T, rcond=None)[0]
+        draws[rows] = (math.sqrt(design.n) * target.A @ (coef - params.theta[:, None])).T
+    return draws, selected
 
 
 class TestDeterminism:
@@ -77,6 +128,63 @@ class TestSimulationStatistics:
         want = -math.sqrt(7) * 0.75 * 0.75
         sd = 1.0 * math.sqrt(1 - 0.75**2)
         assert abs(kept.mean() - want) <= 3.0 * sd / math.sqrt(kept.size)
+
+    @pytest.mark.parametrize("variant", ["known", "unknown"])
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_full_response_procedure_agrees_in_law(self, problem, variant):
+        # the simulator draws only the sufficient statistics (Q'y, RSS); the
+        # procedure run on whole responses must give the same law: per-order
+        # selection frequencies within 4 two-sample standard errors, and
+        # per-order draws that a two-sample KS test does not tell apart
+        # (p-value floor 1e-4)
+        design, family, target, params = PROBLEMS[problem]()
+        R = 20_000 if problem == "p10" else 40_000
+        rep = ps.simulate(design, family, target, params, R, variant, seed=19)
+        draws, selected = full_response_procedure(
+            design, family, target, params, R, variant, seed=20
+        )
+        for p in family.orders:
+            a, b = rep.selected == p, selected == p
+            pooled = 0.5 * (a.mean() + b.mean())
+            assert abs(a.mean() - b.mean()) <= 4.0 * math.sqrt(2.0 * pooled * (1 - pooled) / R)
+            if min(a.sum(), b.sum()) >= 50:
+                for j in range(target.A.shape[0]):
+                    ks = stats.ks_2samp(rep.draws[a, j], draws[b, j], method="asymp")
+                    assert ks.pvalue >= 1e-4, (p, j, ks)
+
+    @pytest.mark.parametrize(
+        "variant, prob",
+        [("known", ps.selection_prob_known), ("unknown", ps.selection_prob_unknown)],
+    )
+    def test_p10_selection_frequencies_match_exact(self, variant, prob):
+        # ten orders per variant: 4 standard errors keep the chance of a
+        # false alarm among them below 1e-3
+        design, family, target, params = p10_components()
+        R = 200_000
+        rep = ps.simulate(design, family, target, params, R, variant, seed=21)
+        for p in family.orders:
+            pi = prob(design, family, params, p)
+            freq = float(np.mean(rep.selected == p))
+            assert abs(freq - pi) <= 4.0 * math.sqrt(pi * (1.0 - pi) / R)
+
+    @pytest.mark.parametrize(
+        "variant, prob",
+        [("known", ps.selection_prob_known), ("unknown", ps.selection_prob_unknown)],
+    )
+    def test_one_residual_degree_of_freedom(self, variant, prob):
+        # n - P = 1: the residual scale is sigma times the root of a one-df
+        # chi-square, so scales near zero are common
+        setting = ps.TwoRegressorSetting(theta2=0.75, **{**CLASSIC, "n": 3})
+        design, family, target, params = setting.components()
+        R = 200_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = ps.simulate(design, family, target, params, R, variant, seed=22)
+        assert np.all(np.isfinite(rep.draws))
+        for p in family.orders:
+            pi = prob(design, family, params, p)
+            freq = float(np.mean(rep.selected == p))
+            assert abs(freq - pi) <= 3.0 * math.sqrt(pi * (1.0 - pi) / R)
 
     def test_same_stream_variants_agree_where_selection_agrees(self, classic_components):
         design, family, target, params = classic_components
@@ -163,10 +271,21 @@ class TestNoncentralTPower:
             ps.power_check_noncentral_t(5, 1.0, 2.0, 0)
 
 
+def per_row_report_csv(report, path, meta=None):
+    """Reference writer: one ``format(x, ".17g")`` per value, row by row."""
+    cols = [f"draw_{i + 1}" for i in range(report.k)] + ["selected"]
+    with open(path, "w", newline="") as fh:
+        if meta:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for r in range(report.R):
+            vals = [format(x, ".17g") for x in report.draws[r]]
+            vals.append(str(int(report.selected[r])))
+            fh.write(",".join(vals) + "\n")
+
+
 class TestReportCsv:
     def test_roundtrip(self, classic_components, tmp_path):
-        from postselect.montecarlo import write_report_csv
-
         design, family, target, params = classic_components
         rep = ps.simulate(design, family, target, params, 500, "unknown", seed=18)
         path = tmp_path / "report.csv"
@@ -179,3 +298,16 @@ class TestReportCsv:
         sel = np.array([int(l.split(",")[1]) for l in lines[2:]])
         assert np.array_equal(draws, rep.draws[:, 0])
         assert np.array_equal(sel, rep.selected)
+
+    def test_two_components_match_per_row_writer(self, tmp_path):
+        # more rows than one formatting block, with signed zero, infinities,
+        # nan, a subnormal and a huge value
+        R = 70_000
+        draws = normals_from_stream(23, (R, 2)) * 10.0 ** np.linspace(-150, 150, R)[:, None]
+        draws[:6, 0] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 5e300]
+        draws[-3:, 1] = [np.nan, -0.0, 1.0 / 3.0]
+        selected = np.arange(R) % 4
+        rep = ps.SimulationReport(draws=draws, selected=selected, seed=23)
+        write_report_csv(rep, tmp_path / "fast.csv", meta={"seed": 23, "k": 2})
+        per_row_report_csv(rep, tmp_path / "ref.csv", meta={"seed": 23, "k": 2})
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
