@@ -8,6 +8,11 @@ rescaled coefficient diverges; orders below it lose all selection mass.
 Infinite entries of psi are encoded as IEEE infinities, never as large finite
 sentinels, because the limit formulas branch structurally on infiniteness.
 
+The limit engine is the finite-sample engine's constructor
+(``mixture.MixtureEngine``) at the limit psi and Q instead of psi = sqrt(n)
+theta and Q = X'X/n, with the point mass s = 1 in place of the chi law of
+the residual scale; ``p_star`` lives in ``mixture`` and is re-exported here.
+
 Fixed-parameter limits are the special case psi in {0, +-inf}^P; local
 alternatives theta + gamma/sqrt(n) give psi entries gamma_j at the orders
 where theta vanishes.
@@ -23,7 +28,7 @@ import numpy as np
 
 from .distribution import DistributionResult, finite_sample_engine
 from .kernels import DEFAULT_SPEC, QuadratureSpec
-from .mixture import MixtureEngine
+from .mixture import MixtureEngine, p_star
 from .model import (
     ParameterPoint,
     RegressionDesign,
@@ -92,16 +97,6 @@ class LimitParameter:
         return cls(psi=psi, sigma=sigma, Q=design.gram)
 
 
-def p_star(psi, family: SelectionFamily) -> int:
-    """Largest tested order whose rescaled coefficient diverges (else the minimal order)."""
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    out = family.min_order
-    for p in range(family.min_order + 1, family.P + 1):
-        if math.isinf(psi[p - 1]):
-            out = p
-    return out
-
-
 def limit_bias(limit: LimitParameter, p: int) -> np.ndarray:
     """Limit of the scaled bias of the order-p restricted fit.
 
@@ -121,28 +116,14 @@ def limit_engine(
     family: SelectionFamily,
     target: TargetFunctional | None,
 ) -> MixtureEngine:
-    """Mixture engine of the limit distribution (no residual-scale smoothing)."""
+    """Mixture engine of the limit distribution: the engine at ``limit.psi``
+    on the factor of ``limit.Q``, with no residual-scale smoothing."""
     if family.P != limit.P:
         raise ValueError("family order range inconsistent with psi")
     if target is not None and target.P != limit.P:
         raise ValueError("target transform width inconsistent with psi")
-    lo = p_star(limit.psi, family)
-    biases = {p: limit_bias(limit, p) for p in range(lo, limit.P + 1)}
-    shifts = None
-    if target is not None:
-        shifts = {p: target.A @ biases[p] for p in biases}
-    centers = {
-        q: biases[q][q - 1] + limit.psi[q - 1] for q in range(lo + 1, limit.P + 1)
-    }
     return MixtureEngine(
-        factor=limit.factor,
-        sigma=limit.sigma,
-        family=family,
-        p_lo=lo,
-        center_args=centers,
-        shifts=shifts,
-        A=None if target is None else target.A,
-        h_df=None,
+        limit.factor, limit.sigma, family, limit.psi, A=None if target is None else target.A
     )
 
 
@@ -164,11 +145,6 @@ def limit_cdf(
 
 def limit_selection_prob(limit: LimitParameter, family: SelectionFamily, p: int) -> float:
     """Limit of the selection probability of order p (zero below p_star)."""
-    if not family.min_order <= p <= family.P:
-        raise ValueError(f"order {p} outside [{family.min_order}, {family.P}]")
-    lo = p_star(limit.psi, family)
-    if p < lo:
-        return 0.0
     return limit_engine(limit, family, None).weight(p).value
 
 

@@ -119,6 +119,10 @@ def _require(section, key: str, cast, where: str):
         raise ConfigError(f"{where}.{key}: {exc}") from exc
 
 
+def _optional(section, key: str, cast, where: str, default):
+    return _require(section, key, cast, where) if key in section else default
+
+
 # Largest evaluation grid: a million points is far beyond any plotted curve,
 # and a larger COUNT is a typo that would exhaust memory in the grid array.
 _MAX_GRID_COUNT = 1_000_000
@@ -163,11 +167,11 @@ def parse_config(path) -> RunConfig:
     if kind == "two_regressor":
         cfg.n = _require(model, "n", int, "model")
         cfg.rho = _require(model, "rho", float, "model")
-        cfg.sigma1 = float(model.get("sigma1", "1.0"))
-        cfg.sigma2 = float(model.get("sigma2", "1.0"))
+        cfg.sigma1 = _optional(model, "sigma1", float, "model", 1.0)
+        cfg.sigma2 = _optional(model, "sigma2", float, "model", 1.0)
         cfg.c2 = _require(model, "c2", float, "model")
-        cfg.theta1 = float(model.get("theta1", "0.0"))
-        panels = _floats(_require(model, "theta2", str, "model"))
+        cfg.theta1 = _optional(model, "theta1", float, "model", 0.0)
+        panels = _require(model, "theta2", _floats, "model")
         if not panels:
             raise ConfigError("model.theta2: need at least one value")
         cfg.theta2_panels = tuple(panels)
@@ -196,12 +200,14 @@ def parse_config(path) -> RunConfig:
         else:
             n = _require(model, "n", int, "model")
             P = _require(model, "p", int, "model")
-            dseed = int(model.get("design_seed", "0"))
+            dseed = _optional(model, "design_seed", int, "model", 0)
+            if dseed < 0:
+                raise ConfigError("model.design_seed: must be >= 0")
             try:
                 cfg.design = synthetic_design(n, P, dseed)
             except Exception as exc:
                 raise ConfigError(f"model.n/p: {exc}") from exc
-        theta = np.array(_floats(_require(model, "theta", str, "model")))
+        theta = np.array(_require(model, "theta", _floats, "model"))
         sigma = _require(model, "sigma", float, "model")
         if sigma <= 0.0:
             raise ConfigError("model.sigma: must be positive")
@@ -210,7 +216,7 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"model.theta/sigma: {exc}") from exc
         min_order = _require(model, "min_order", int, "model")
-        crits = _floats(_require(model, "criticals", str, "model"))
+        crits = _require(model, "criticals", _floats, "model")
         try:
             cfg.family = SelectionFamily(min_order=min_order, criticals=tuple(crits))
         except ValueError as exc:

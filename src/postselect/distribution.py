@@ -5,8 +5,10 @@ fits by restricted least squares in the selected model.  Its cdf is a sum
 over candidate orders of weighted conditional components; the lowest order
 contributes a shifted Gaussian cdf times acceptance probabilities, every
 higher order a Gaussian region integral whose integrand carries the rejection
-probability of that order's test.  The two variants differ only in the law
-of the residual scale ratio against which those probabilities are
+probability of that order's test.  ``finite_sample_engine`` builds the one
+mixture engine at psi = sqrt(n) theta with Q = X'X/n, the same constructor
+the large-sample limits use.  The two variants differ only in the law of the
+residual scale ratio against which the interval probabilities are
 integrated: the scaled-chi law for the data-driven (estimated scale)
 selector (``kernels.ScaleSmoother``), the point mass at s = 1 for the known
 scale (``kernels.PointScale``); ``finite_sample_engine`` picks the law
@@ -43,7 +45,6 @@ from .model import (
     TargetFunctional,
     _numerical_rank,
     design_from_gram,
-    restricted_ls_mean,
 )
 
 __all__ = [
@@ -73,10 +74,10 @@ def finite_sample_engine(
     params: ParameterPoint,
     variant: str,
 ) -> MixtureEngine:
-    """Mixture engine bound to the finite-sample shifts and interval centers.
+    """Mixture engine of the finite-sample distribution: the engine at
+    psi = sqrt(n) theta on the factor of X'X/n.
 
-    With ``target=None`` the engine carries no shifts and evaluates only the
-    selection weights.
+    With ``target=None`` the engine evaluates only the selection weights.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
@@ -86,24 +87,10 @@ def finite_sample_engine(
         raise ValueError("target transform width inconsistent with design")
     if params.theta.size != design.P:
         raise ValueError("theta length inconsistent with design")
-    rootn = math.sqrt(design.n)
-    O = family.min_order
-    etas = {p: restricted_ls_mean(design, params.theta, p) for p in range(O + 1, design.P + 1)}
-    centers = {q: rootn * etas[q][q - 1] for q in etas}
-    shifts = None
-    if target is not None:
-        etas[O] = restricted_ls_mean(design, params.theta, O)
-        shifts = {p: rootn * (target.A @ (etas[p] - params.theta)) for p in etas}
-    return MixtureEngine(
-        factor=design.factor,
-        sigma=params.sigma,
-        family=family,
-        p_lo=O,
-        center_args=centers,
-        shifts=shifts,
-        A=None if target is None else target.A,
-        h_df=None if variant == "known" else design.n - design.P,
-    )
+    psi = math.sqrt(design.n) * params.theta
+    A = None if target is None else target.A
+    h_df = None if variant == "known" else design.n - design.P
+    return MixtureEngine(design.factor, params.sigma, family, psi, A=A, h_df=h_df)
 
 
 def cdf_known_variance(

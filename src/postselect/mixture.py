@@ -14,10 +14,11 @@ go through one law object per order (``kernels.ScaleSmoother`` or
 ``kernels.PointScale``), whose weight is the product of the acceptance
 probabilities of the orders above.
 
-The engine is parameterized by the Cholesky factor of the Gram matrix, the
-interval centers, and the component mean shifts, so the finite-sample case
-(centers sqrt(n) eta_p(p), shifts sqrt(n) A (eta(p) - theta)) and the limit
-case (centers delta_p + psi_p, shifts A delta(p)) share all code.
+The engine takes the Cholesky factor L of a Gram matrix Q, sigma and a
+rescaled parameter psi, and derives the lowest order p_star(psi), the biases
+b_p = scaled_omitted_bias(L, psi[p:], p), the centers b_q[q-1] + psi_q and
+the shifts A b_p.  The finite-sample case is psi = sqrt(n) theta, Q = X'X/n
+(b_p = sqrt(n) (eta(p) - theta)); the limit case is the limit psi and Q.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
 
 import numpy as np
 
@@ -43,19 +43,29 @@ from .kernels import (
 from .model import (
     GaussianComponent,
     SelectionFamily,
-    _numerical_rank,
-    component_covariance,
     conditional_from_factor,
+    component_from_bias,
+    scaled_omitted_bias,
     xi_from_factor,
 )
 
-__all__ = ["DistributionResult", "MixtureEngine"]
+__all__ = ["DistributionResult", "MixtureEngine", "p_star"]
 
 
 def _require_no_nan(t) -> None:
     """Raise ``ValueError`` when the evaluation point ``t`` has a NaN entry."""
     if np.isnan(np.asarray(t, dtype=float)).any():
         raise ValueError("evaluation point t must not be NaN")
+
+
+def p_star(psi, family: SelectionFamily) -> int:
+    """Largest tested order whose rescaled coefficient diverges (else the minimal order)."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    out = family.min_order
+    for p in range(family.min_order + 1, family.P + 1):
+        if math.isinf(psi[p - 1]):
+            out = p
+    return out
 
 
 def _accept_all(tests, s):
@@ -88,13 +98,14 @@ class DistributionResult:
 
 
 class MixtureEngine:
-    """Evaluator bound to one (factor, sigma, family, target, centers, shifts) tuple.
+    """Evaluator bound to one (factor, sigma, family, psi, target) problem.
 
-    ``factor`` is the lower Cholesky factor of the Gram matrix (``gram_factor``).
-    ``h_df`` selects the law of the residual scale ratio, and with it the
-    variant: None is the point mass at s = 1 (the known-scale forms, all
-    interval probabilities at unit residual scale), an integer m the
-    scaled-chi law with m degrees of freedom (the data-driven forms).  The
+    ``factor`` is the lower Cholesky factor of the Gram matrix (``gram_factor``)
+    and ``psi`` the rescaled parameter; orders below ``p_lo = p_star(psi)``
+    carry no mass.  ``h_df`` selects the law of the residual scale ratio, and
+    with it the variant: None is the point mass at s = 1 (the known-scale
+    forms, all interval probabilities at unit residual scale), an integer m
+    the scaled-chi law with m degrees of freedom (the data-driven forms).  The
     choice is made once, in ``smoother``; every other method reads the law.
     """
 
@@ -103,9 +114,7 @@ class MixtureEngine:
         factor: np.ndarray,
         sigma: float,
         family: SelectionFamily,
-        p_lo: int,
-        center_args: Mapping[int, float],
-        shifts: Mapping[int, np.ndarray] | None = None,
+        psi,
         A: np.ndarray | None = None,
         h_df: int | None = None,
     ) -> None:
@@ -115,25 +124,23 @@ class MixtureEngine:
         self.P = family.P
         if self.factor.shape != (self.P, self.P):
             raise ValueError("factor shape inconsistent with family")
-        if not family.min_order <= p_lo <= self.P:
-            raise ValueError("p_lo outside the candidate range")
-        self.p_lo = int(p_lo)
-        self.center_args = {int(q): float(center_args[q]) for q in range(p_lo + 1, self.P + 1)}
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        if psi.shape != (self.P,) or np.isnan(psi).any():
+            raise ValueError("psi must be a length-P vector of reals or +-inf")
+        self.p_lo = p_star(psi, family)
         self.A = None if A is None else np.atleast_2d(np.asarray(A, dtype=float))
-        self.shifts = None
-        if shifts is not None:
-            self.shifts = {
-                int(p): np.atleast_1d(np.asarray(shifts[p], dtype=float))
-                for p in range(p_lo, self.P + 1)
-            }
         if h_df is not None and h_df < 1:
             raise ValueError("h_df must be >= 1")
         self.h_df = h_df
-        self._xi = {q: xi_from_factor(self.factor, q) for q in range(p_lo + 1, self.P + 1)}
+        # psi is finite above p_lo, so every bias from p_lo on is finite
+        orders = range(self.p_lo, self.P + 1)
+        self._bias = {p: scaled_omitted_bias(self.factor, psi[p:], p) for p in orders}
+        self._center = {q: float(self._bias[q][q - 1] + psi[q - 1]) for q in orders[1:]}
+        self._xi = {q: xi_from_factor(self.factor, q) for q in self._center}
         # (sigma xi_q, center, c_q): the order-q test accepts when the scaled
         # estimate lies within s c_q sigma xi_q of its center
         self._tests = {
-            q: (self.sigma * self._xi[q], self.center_args[q], family.critical(q))
+            q: (self.sigma * self._xi[q], self._center[q], family.critical(q))
             for q in self._xi
         }
         self._cond: dict[int, tuple[np.ndarray, float]] = {}
@@ -141,9 +148,6 @@ class MixtureEngine:
         self._smoothers: dict[int, ScaleSmoother | PointScale] = {}
 
     # -- derived quantities ------------------------------------------------
-
-    def xi_at(self, q: int) -> float:
-        return self._xi[q]
 
     def _conditional(self, p: int) -> tuple[np.ndarray, float]:
         """(regression row b, conditional scale zeta) of order p."""
@@ -156,13 +160,9 @@ class MixtureEngine:
 
     def component(self, p: int) -> GaussianComponent:
         if p not in self._comp:
-            if self.A is None or self.shifts is None:
+            if self.A is None:
                 raise ValueError("engine built without a target transform")
-            cov = component_covariance(self.factor, self.A, self.sigma, p)
-            rank = _numerical_rank(self.A[:, :p])
-            self._comp[p] = GaussianComponent(
-                mean_shift=self.shifts[p], covariance=cov, rank=rank
-            )
+            self._comp[p] = component_from_bias(self.factor, self.A, self.sigma, self._bias[p], p)
         return self._comp[p]
 
     # -- interval probabilities ---------------------------------------------
@@ -186,7 +186,7 @@ class MixtureEngine:
 
     def _width(self, p: int) -> float:
         """Half-width c_p sigma xi_p of the order-p acceptance interval at s = 1."""
-        return self.family.critical(p) * self.sigma * self.xi_at(p)
+        return self.family.critical(p) * self.sigma * self._xi[p]
 
     def _smoothed_reject(self, p: int, u, v: float) -> np.ndarray:
         """int P(|u + v Z| >= s c_p sigma xi_p) gamma_tail(p, s) law(ds)."""
@@ -195,14 +195,16 @@ class MixtureEngine:
     # -- selection weights ---------------------------------------------------
 
     def weight(self, p: int, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
-        """Mass of candidate order p (its selection probability)."""
-        if not self.p_lo <= p <= self.P:
-            raise ValueError(f"order {p} outside [{self.p_lo}, {self.P}]")
+        """Mass of candidate order p (its selection probability; 0 below p_lo)."""
+        if not self.family.min_order <= p <= self.P:
+            raise ValueError(f"order {p} outside [{self.family.min_order}, {self.P}]")
+        if p < self.p_lo:
+            return QuadResult(0.0, 0.0, True)
         smoother = self.smoother(p)
         if p == self.p_lo:
             val = smoother.mass()
         else:
-            val = float(self._smoothed_reject(p, self.center_args[p], self.sigma * self.xi_at(p)))
+            val = float(self._smoothed_reject(p, self._center[p], self.sigma * self._xi[p]))
         return QuadResult(val, smoother.err_est, smoother.converged(spec))
 
     # -- cdf terms ------------------------------------------------------------
@@ -220,8 +222,8 @@ class MixtureEngine:
             )
 
         b, zeta = self._conditional(p)
-        shift = self.shifts[p]
-        center = self.center_args[p]
+        shift = comp.mean_shift
+        center = self._center[p]
         # The integrand reads z only through u = b'z - b'shift + center, and
         # varies fast only in windows of half-width 9 sigma zeta around the
         # edges of the scale law (|u| = c_p sigma xi_p at known scale, u = 0
@@ -255,8 +257,8 @@ class MixtureEngine:
             w = self.weight(p, spec)
             return QuadResult(pdf * w.value, pdf * w.err_est, w.converged)
         b, zeta = self._conditional(p)
-        x = np.atleast_1d(np.asarray(t, dtype=float)) - self.shifts[p]
-        u = float(x @ b) + self.center_args[p]
+        x = np.atleast_1d(np.asarray(t, dtype=float)) - comp.mean_shift
+        u = float(x @ b) + self._center[p]
         val = float(self._smoothed_reject(p, u, self.sigma * zeta))
         smoother = self.smoother(p)
         return QuadResult(val * pdf, smoother.err_est * pdf, smoother.converged(spec))

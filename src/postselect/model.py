@@ -11,6 +11,7 @@ the factor of the limit matrix in place of that of X'X/n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,7 @@ __all__ = [
     "xi_from_factor",
     "conditional_from_factor",
     "component_covariance",
+    "component_from_bias",
     "mean_adjustment",
     "scaled_omitted_bias",
     "design_from_gram",
@@ -344,6 +346,13 @@ def component_covariance(L: np.ndarray, A: np.ndarray, sigma: float, p: int) -> 
     return 0.5 * (cov + cov.T)
 
 
+def component_from_bias(L, A, sigma: float, bias, p: int) -> GaussianComponent:
+    """Order-p component with scaled bias ``bias`` (``scaled_omitted_bias``)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    cov = component_covariance(L, A, sigma, p)
+    return GaussianComponent(mean_shift=A @ bias, covariance=cov, rank=_numerical_rank(A[:, :p]))
+
+
 def gaussian_component(
     design: RegressionDesign,
     target: TargetFunctional,
@@ -354,12 +363,11 @@ def gaussian_component(
     P = design.P
     if not 0 <= p <= P:
         raise ValueError(f"order {p} outside [0, {P}]")
-    rootn = np.sqrt(design.n)
-    eta = restricted_ls_mean(design, params.theta, p)
-    mean_shift = rootn * (target.A @ (eta - params.theta))
-    cov = component_covariance(design.factor, target.A, params.sigma, p)
-    rank = 0 if p == 0 else _numerical_rank(target.A[:, :p])
-    return GaussianComponent(mean_shift=mean_shift, covariance=cov, rank=rank)
+    if params.theta.shape != (P,):
+        raise ValueError(f"theta must have length {P}")
+    psi = math.sqrt(design.n) * params.theta
+    bias = scaled_omitted_bias(design.factor, psi[p:], p)
+    return component_from_bias(design.factor, target.A, params.sigma, bias, p)
 
 
 def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesign:
@@ -370,6 +378,11 @@ def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesig
     """
     gram = np.atleast_2d(np.asarray(gram, dtype=float))
     P = gram.shape[0]
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("gram must be finite")
+    # Cholesky reads one triangle only, so asymmetry would pass silently
+    if gram.shape != (P, P) or not np.allclose(gram, gram.T, atol=1e-12, rtol=1e-10):
+        raise ValueError("gram must be symmetric")
     if n <= P:
         raise ValueError("need n > P")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))

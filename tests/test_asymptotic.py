@@ -1,12 +1,21 @@
 """Large-sample limits: limit bias, limit cdf, limit selection probabilities."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import postselect as ps
+from postselect.asymptotic import limit_engine
+from postselect.config import parse_config
+from postselect.distribution import finite_sample_engine
+
+from conftest import classic_setting
+from test_montecarlo import p10_components
+
+GENERAL_DESIGN_INI = Path(__file__).resolve().parents[1] / "scripts/configs/general_design.ini"
 
 
 def _fixed_limit_oracle_two_regressor(Q, sigma, c2, t):
@@ -166,6 +175,44 @@ class TestLimitCdf:
             sups.append(sup)
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 0.01
+
+
+def _general_design_problem():
+    cfg = parse_config(GENERAL_DESIGN_INI)
+    return cfg.design, cfg.family, cfg.target, cfg.params
+
+
+class TestFiniteSampleIsLimitEngine:
+    """The known-scale finite-sample engine at (X'X/n, sigma, theta) is the
+    limit engine at psi = sqrt(n) theta with Q = X'X/n, value for value."""
+
+    @pytest.mark.parametrize(
+        "problem,points",
+        [
+            (lambda: classic_setting(0.75).components(), [[-1.0], [0.5]]),
+            (p10_components, [[-0.4], [0.3]]),
+            (_general_design_problem, [[0.15, 0.25], [-0.5, 1.0]]),
+        ],
+        ids=["classic_n7", "p10", "general_design_k2"],
+    )
+    def test_bit_identical(self, problem, points):
+        design, family, target, params = problem()
+        finite = finite_sample_engine(design, family, target, params, "known")
+        limit = ps.LimitParameter(
+            psi=math.sqrt(design.n) * params.theta, sigma=params.sigma, Q=design.gram
+        )
+        lim = limit_engine(limit, family, target)
+        for t in points:
+            a, b = finite.cdf(np.array(t)), lim.cdf(np.array(t))
+            assert a.value == b.value
+            assert np.array_equal(a.per_model_terms, b.per_model_terms)
+        for p in family.orders:
+            assert finite.weight(p).value == lim.weight(p).value
+            comp = ps.gaussian_component(design, target, params, p)
+            for engine in (finite, lim):
+                assert np.array_equal(comp.mean_shift, engine.component(p).mean_shift)
+                assert np.array_equal(comp.covariance, engine.component(p).covariance)
+                assert comp.rank == engine.component(p).rank
 
 
 class TestLimitSelectionProb:

@@ -152,6 +152,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "template,old,new,field",
+        [
+            ("two", "sigma1 = 1.0", "sigma1 = abc", "sigma1"),
+            ("two", "sigma2 = 1.0", "sigma2 = abc", "sigma2"),
+            ("two", "c2 = 2.015", "c2 = 2.015\ntheta1 = x", "theta1"),
+            ("two", "theta2 = 0.75", "theta2 = 0.0, x", "theta2"),
+            ("general", "design_seed = 5", "design_seed = seven", "design_seed"),
+            ("general", "design_seed = 5", "design_seed = -1", "design_seed"),
+            ("general", "theta = 0.4, 0.0", "theta = 0.4, x", "theta"),
+            ("general", "criticals = 2.0", "criticals = two", "criticals"),
+        ],
+        ids=["sigma1_text", "sigma2_text", "theta1_text", "theta2_text", "design_seed_text",
+             "design_seed_neg", "theta_text", "criticals_text"],
+    )
+    def test_malformed_model_field_is_exit_2(self, tmp_path, capsys, template, old, new, field):
+        if template == "two":
+            command, text = "curves", TWO_REG.format(theta2="0.75", reps=10, grid="-2:2:5")
+        else:
+            command, text = "selection-probs", GENERAL
+        assert old in text
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, text.replace(old, new, 1))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: model.{field}:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_malformed_thread_count_is_exit_2(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("POSTSEL_THREADS", threads)

@@ -235,7 +235,7 @@ class TestScaleSmoothing:
     @staticmethod
     def _engine(m):
         family = SelectionFamily(min_order=1, criticals=(2.015, 1.5))
-        return MixtureEngine(np.eye(3), 1.0, family, 1, {2: 0.4, 3: 0.7}, h_df=m)
+        return MixtureEngine(np.eye(3), 1.0, family, [0.0, 0.4, 0.7], h_df=m)
 
     @pytest.mark.parametrize("m", [1, 5, 48])
     def test_matches_high_precision_oracle(self, m):

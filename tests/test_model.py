@@ -249,6 +249,20 @@ class TestDesignConstruction:
         d2 = design_from_gram(40, gram, seed=4)
         assert np.array_equal(d.X, d2.X)
 
+    @pytest.mark.parametrize(
+        "gram",
+        [[[1.0, 0.9], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["non_symmetric", "nan", "inf"],
+    )
+    def test_design_from_gram_rejects_malformed_gram(self, gram):
+        # Cholesky reads only the lower triangle: the non-symmetric case
+        # would otherwise build a design whose gram is about the identity
+        with pytest.raises(ValueError, match="gram must be"):
+            design_from_gram(10, np.array(gram))
+        if np.all(np.isfinite(gram)):
+            with pytest.raises(ValueError, match="symmetric"):
+                ps.LimitParameter(psi=np.zeros(2), sigma=1.0, Q=np.array(gram))
+
     def test_load_design_csv(self, tmp_path):
         X = np.random.default_rng(0).standard_normal((6, 2))
         path = tmp_path / "design.csv"
