@@ -35,9 +35,10 @@ from .kernels import (
     QuadResult,
     QuadratureSpec,
     ScaleSmoother,
+    _require_no_nan,
     norm_pdf,
 )
-from .mixture import DistributionResult, MixtureEngine, _require_no_nan
+from .mixture import DistributionResult, MixtureEngine
 from .model import (
     ParameterPoint,
     RegressionDesign,
@@ -149,7 +150,6 @@ def weighted_conditional_cdf(
 
     Its total mass as t -> infinity is the order-p selection probability.
     """
-    _require_no_nan(t)
     engine = finite_sample_engine(design, family, target, params, variant)
     if not family.min_order <= p <= family.P:
         raise ValueError(f"order {p} outside [{family.min_order}, {family.P}]")

@@ -22,7 +22,8 @@ interval probability, so each integral is one deterministic 1-D integral,
 evaluated by a batched, globally adaptive Gauss-Kronrod rule that calls the
 integrand once per pass on the nodes of every open subinterval.  Randomized
 quasi-Monte Carlo serves only rank three or more, or a rank-two integrand
-given without its projection.
+given without its projection; ``scipy.stats`` (for its Sobol sequences) is
+imported on the first such integral, not with the package.
 
 All functions are pure; random use is confined to counter-based (Philox)
 streams so results are reproducible and safely parallelizable.
@@ -39,7 +40,6 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 from numpy.random import Generator, Philox
 from scipy.special import gammaincinv, gammaln, ndtr, ndtri
-from scipy.stats import qmc
 
 __all__ = [
     "QuadResult",
@@ -161,6 +161,12 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+
+
+def _require_no_nan(t) -> None:
+    """Raise ``ValueError`` when the evaluation point ``t`` has a NaN entry."""
+    if np.isnan(np.asarray(t, dtype=float)).any():
+        raise ValueError("evaluation point t must not be NaN")
 
 
 def norm_pdf(x):
@@ -379,7 +385,8 @@ def _gauss_kronrod(
     ``max(abs_tol, rel_tol * |value|)``; otherwise it bisects every
     subinterval whose estimate exceeds its length's share of that tolerance,
     and stops with ``converged=False`` when the next pass would take the node
-    count past ``spec.max_nodes``.
+    count past ``spec.max_nodes``, or at once, with an infinite error
+    estimate, when f is not finite at some node.
     """
     if not b > a:
         return QuadResult(0.0, 0.0, True)
@@ -401,6 +408,10 @@ def _gauss_kronrod(
         if err_sum <= tol:
             return QuadResult(total, err_sum, True)
         split = err > tol * (hi - lo) / (b - a)
+        if not (math.isfinite(err_sum) and split.any()):
+            # f is not finite at some node: a NaN estimate marks nothing for
+            # bisection, so the next pass would repeat this one
+            return QuadResult(total, math.inf, False)
         if nodes + 2 * _GK_NODES.size * int(split.sum()) > spec.max_nodes:
             return QuadResult(total, err_sum, False)
         mid = 0.5 * (lo[split] + hi[split])
@@ -525,6 +536,10 @@ def _qmc_region_estimate(
     scramble seeds are fixed.  The integrand is evaluated only on points
     inside the region.
     """
+    # imported here, not at module level: scipy.stats costs about 0.5 s and
+    # 38 MB to load, and only this rank >= 3 path needs it
+    from scipy.stats import qmc
+
     d = factor.shape[1]
     tiny = 0.5 ** 54
     sobols = [
@@ -592,6 +607,7 @@ def gaussian_region_prob(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != k:
         raise ValueError(f"t must have length {k}")
+    _require_no_nan(t)
     if comp.rank == 0:
         return _point_mass(mean, t, integrand)
     if projection is not None:

@@ -36,6 +36,7 @@ from .kernels import (
     QuadResult,
     QuadratureSpec,
     ScaleSmoother,
+    _require_no_nan,
     delta,
     gaussian_density,
     gaussian_region_prob,
@@ -50,12 +51,6 @@ from .model import (
 )
 
 __all__ = ["DistributionResult", "MixtureEngine", "p_star"]
-
-
-def _require_no_nan(t) -> None:
-    """Raise ``ValueError`` when the evaluation point ``t`` has a NaN entry."""
-    if np.isnan(np.asarray(t, dtype=float)).any():
-        raise ValueError("evaluation point t must not be NaN")
 
 
 def p_star(psi, family: SelectionFamily) -> int:
@@ -268,6 +263,8 @@ class MixtureEngine:
     def _assemble(self, term, t, spec: QuadratureSpec, clip_unit: bool) -> DistributionResult:
         """Sum ``term(p, t, spec)`` over the candidate orders."""
         _require_no_nan(t)
+        if self.A is not None and np.size(t) != self.A.shape[0]:
+            raise ValueError(f"t must have length {self.A.shape[0]}")
         terms = np.zeros(self.P - self.family.min_order + 1)
         err = 0.0
         ok = True

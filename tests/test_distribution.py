@@ -187,6 +187,14 @@ class TestDensity:
                 want, abs=1e-10
             )
 
+    @pytest.mark.parametrize(
+        "fn", [ps.density_unknown_variance, ps.density_known_variance]
+    )
+    def test_wrong_length_point_rejected(self, classic_components, fn):
+        design, family, target, params = classic_components
+        with pytest.raises(ValueError, match="t must have length 1"):
+            fn(design, family, target, params, [0.1, 0.2])
+
     def test_density_undefined_when_minimal_order_zero(self, classic_components):
         design, _, target, params = classic_components
         family0 = ps.SelectionFamily(min_order=0, criticals=(2.015, 2.015))

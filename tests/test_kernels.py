@@ -1,6 +1,10 @@
 """Kernel primitives: interval probabilities, scaled-chi law, quadratures."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
+import postselect
 from postselect.config import parse_config
 from postselect.distribution import finite_sample_engine
 from postselect.kernels import (
@@ -20,6 +25,7 @@ from postselect.kernels import (
     QuadResult,
     QuadratureSpec,
     ScaleSmoother,
+    _gauss_kronrod,
     chi_scaled_density,
     chi_scaled_quantile,
     delta,
@@ -432,6 +438,71 @@ class TestGaussianRegionProb:
             vals = np.where(np.all(z <= t, axis=1), g(z), 0.0)
             batch_means.append(vals.sum() / per_batch)
         assert abs(res.value - np.mean(batch_means)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "cov, rank, t",
+        [
+            ([[2.0, 0.6], [0.6, 1.0]], 2, [0.0, np.nan]),
+            ([[1.0, 1.0], [1.0, 1.0]], 1, [0.5, np.nan]),
+            ([[1.0]], 1, [np.nan]),
+            (np.eye(3), 3, [0.0, 0.0, np.nan]),
+        ],
+        ids=["rank2-bivariate", "rank1-bivariate", "scalar", "rank3-trivariate"],
+    )
+    def test_nan_point_rejected(self, cov, rank, t):
+        cov = np.asarray(cov, dtype=float)
+        comp = GaussianComponent(mean_shift=np.zeros(len(t)), covariance=cov, rank=rank)
+        with pytest.raises(ValueError, match="evaluation point t must not be NaN"):
+            gaussian_region_prob(comp, np.array(t))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_stops_unconverged(self, bad):
+        # a NaN error estimate marks no subinterval for bisection, so the
+        # rule must stop instead of repeating the same pass
+        with np.errstate(invalid="ignore"):
+            res = _gauss_kronrod(lambda x: np.where(x > 0.5, bad, 1.0), 0.0, 1.0, DEFAULT_SPEC, ())
+        assert not res.converged
+        assert res.err_est == math.inf
+
+
+# Run in a fresh interpreter: the CLI on general_design.ini (ranks one and two
+# only) must not load scipy.stats; the first rank-3 integral loads it for its
+# Sobol sequences.  Prints that integral's value in hex.
+_FRESH_PROCESS = """
+import json, sys, tempfile
+import numpy as np
+import postselect
+from postselect import cli
+
+def stats_loaded():
+    return any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in sys.modules)
+
+assert not stats_loaded(), "import postselect loaded scipy.stats"
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["selection-probs", "--config", sys.argv[1], "--out", out]) == 0
+assert not stats_loaded(), "selection-probs loaded scipy.stats"
+mean, cov, t = json.loads(sys.argv[2])
+comp = postselect.GaussianComponent(mean_shift=np.array(mean), covariance=np.array(cov), rank=3)
+value = postselect.gaussian_region_prob(comp, np.array(t)).value
+assert stats_loaded(), "the rank-3 integral did not load scipy.stats"
+print(value.hex())
+"""
+
+
+def test_scipy_stats_loaded_only_by_rank_three_integral():
+    # the rank-3 component of test_qmc_matches_scipy_trivariate_cdf
+    mean = [0.2, -0.1, 0.4]
+    cov = [[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.5]]
+    t = [0.4, 0.3, 0.9]
+    src = str(Path(postselect.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, str(GENERAL_DESIGN_INI), json.dumps([mean, cov, t])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    comp = GaussianComponent(mean_shift=np.array(mean), covariance=np.array(cov), rank=3)
+    want = gaussian_region_prob(comp, np.array(t)).value
+    assert float.fromhex(run.stdout.split()[-1]) == want
 
 
 GENERAL_DESIGN_INI = Path(__file__).resolve().parents[1] / "scripts/configs/general_design.ini"
