@@ -57,7 +57,7 @@ def _general_components(cfg: RunConfig):
     """Problem objects for the configured scenario (first panel if several)."""
     if cfg.scenario == "general_design":
         return cfg.design, cfg.family, cfg.target, cfg.params
-    return cfg.settings()[0].components(theta1=cfg.theta1, seed=cfg.seed)
+    return cfg.settings()[0].components(theta1=cfg.theta1)
 
 
 def _check(result) -> float:
@@ -92,7 +92,7 @@ def cmd_curves(cfg: RunConfig, outdir: Path) -> None:
              "gauss_m1", "gauss_m2"],
             rows,
         )
-        design, family, _, params = setting.components(theta1=cfg.theta1, seed=cfg.seed)
+        design, family, _, params = setting.components(theta1=cfg.theta1)
         keep = [
             finite_sample_engine(design, family, None, params, variant).weight(1, spec).value
             for variant in ("known", "unknown")
@@ -143,11 +143,10 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> None:
     grid = cfg.grid_points()
     psi = local_shift_vector(np.array([cfg.theta1, 0.0]), np.array([0.0, psi2]))
     rows = []
-    sup_cdf, sup_sel, sup_lim = [], [], []
     for n in sorted(n_list):
         st = TwoRegressorSetting(rho=base.rho, sigma1=base.sigma1, sigma2=base.sigma2,
                                  theta2=psi2 / np.sqrt(n), n=n, c2=base.c2)
-        design, family, target, params = st.components(theta1=cfg.theta1, seed=cfg.seed)
+        design, family, target, params = st.components(theta1=cfg.theta1)
         unknown, known = (
             finite_sample_engine(design, family, target, params, variant)
             for variant in ("unknown", "known")
@@ -168,30 +167,14 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> None:
             for p in family.orders
         )
         rows.append((n, d_cdf, d_sel, d_lim))
-        sup_cdf.append(d_cdf)
-        sup_sel.append(d_sel)
-        sup_lim.append(d_lim)
-    _write_csv(
-        outdir / "convergence.csv",
-        _meta(cfg),
-        ["n", "sup_cdf_known_vs_unknown", "sup_selprob_known_vs_unknown",
-         "sup_cdf_vs_limit"],
-        rows,
-    )
-
-    def decreasing(vals):
-        return all(b < a for a, b in zip(vals, vals[1:]))
-
+    metrics = ["sup_cdf_known_vs_unknown", "sup_selprob_known_vs_unknown", "sup_cdf_vs_limit"]
+    _write_csv(outdir / "convergence.csv", _meta(cfg), ["n", *metrics], rows)
     summary = [
-        ("sup_cdf_known_vs_unknown", int(decreasing(sup_cdf)), sup_cdf[-1]),
-        ("sup_selprob_known_vs_unknown", int(decreasing(sup_sel)), sup_sel[-1]),
-        ("sup_cdf_vs_limit", int(decreasing(sup_lim)), sup_lim[-1]),
+        (name, int(all(b < a for a, b in zip(vals, vals[1:]))), vals[-1])
+        for name, vals in zip(metrics, list(zip(*rows))[1:])
     ]
-    with open(outdir / "convergence_summary.csv", "w", newline="") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in _meta(cfg).items()) + "\n")
-        fh.write("metric,strictly_decreasing,final_value\n")
-        for name, dec, final in summary:
-            fh.write(f"{name},{dec},{_fmt(final)}\n")
+    _write_csv(outdir / "convergence_summary.csv", _meta(cfg),
+               ["metric", "strictly_decreasing", "final_value"], summary)
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> None:

@@ -44,6 +44,7 @@ from .model import (
     RegressionDesign,
     SelectionFamily,
     TargetFunctional,
+    _integral_n,
     _numerical_rank,
     design_from_gram,
 )
@@ -189,6 +190,7 @@ class TwoRegressorSetting:
             raise ValueError("sigma1, sigma2 must be positive and finite")
         if not math.isfinite(self.theta2):
             raise ValueError("theta2 must be finite")
+        object.__setattr__(self, "n", _integral_n(self.n))
         if self.n <= 2:
             raise ValueError("need n > 2")
         if not (0.0 < self.c2 < np.inf):
@@ -203,7 +205,8 @@ class TwoRegressorSetting:
         """Equivalent general-model objects (design, family, target, params).
 
         The error scale is normalized to one, so the Gram matrix is the
-        inverse of the estimator covariance.
+        inverse of the estimator covariance; the design holds it and n only
+        (no X).  ``seed`` has no effect; it is kept for compatibility.
         """
         gram = np.linalg.inv(self.estimator_covariance)
         design = design_from_gram(self.n, gram, seed=seed)

@@ -68,14 +68,19 @@ def _numerical_rank(a: np.ndarray) -> int:
     return int(np.sum(s > tol))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RegressionDesign:
-    """Fixed n x P regressor matrix with n > P >= 1 and full column rank."""
+    """n observations on P regressors (n > P >= 1), held as n and the scaled
+    Gram matrix ``gram`` = X'X/n.  ``RegressionDesign(X)`` also keeps the
+    finite, full-column-rank n x P matrix X, which ``select_model*`` needs;
+    ``design_from_gram`` builds a design with ``X = None``."""
 
-    X: np.ndarray
+    n: int
+    gram: np.ndarray
+    X: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
+    def __init__(self, X) -> None:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.ndim != 2:
             raise ValueError("X must be a 2-D matrix")
         n, P = X.shape
@@ -85,19 +90,22 @@ class RegressionDesign:
             raise ValueError("X must be finite")
         if _numerical_rank(X) < P:
             raise ValueError("X must have full column rank")
-        object.__setattr__(self, "X", _readonly(X))
+        self._freeze(n, X.T @ X / n, _readonly(X))
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
+    @classmethod
+    def _from_gram(cls, n: int, gram: np.ndarray) -> "RegressionDesign":
+        design = cls.__new__(cls)
+        design._freeze(n, gram, None)
+        return design
+
+    def _freeze(self, n: int, gram: np.ndarray, X: np.ndarray | None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gram", _readonly(gram))
+        object.__setattr__(self, "X", X)
 
     @property
     def P(self) -> int:
-        return self.X.shape[1]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return _readonly(self.X.T @ self.X / self.n)
+        return self.gram.shape[0]
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -106,9 +114,14 @@ class RegressionDesign:
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reduced QR factors (Q, R) of X; R[:p, :p] is the R factor of X[:, :p]."""
+        """Reduced QR factors (Q, R) of X with a positive diagonal in R, so that
+        R = sqrt(n) L' for L = ``factor`` (up to roundoff) and R[:p, :p] is the
+        R factor of X[:, :p]."""
+        if self.X is None:
+            raise ValueError("observed responses need the regressor matrix X, not only its Gram")
         q, r = np.linalg.qr(self.X)
-        return _readonly(q), _readonly(r)
+        sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        return _readonly(q * sign), _readonly(r * sign[:, None])
 
 
 @dataclass(frozen=True)
@@ -370,11 +383,19 @@ def gaussian_component(
     return component_from_bias(design.factor, target.A, params.sigma, bias, p)
 
 
-def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesign:
-    """Deterministic n x P design with X'X/n equal to ``gram`` (up to roundoff).
+def _integral_n(n) -> int:
+    """Sample size ``n`` as an int; raises ``ValueError`` unless it is integral."""
+    if not float(n).is_integer():
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return int(n)
 
-    Columns are built from an orthonormal basis (QR of a seeded Philox draw)
-    scaled by a Cholesky factor of n * gram.
+
+def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesign:
+    """Design of ``n`` observations with scaled Gram matrix ``gram`` = X'X/n.
+
+    Builds no regressor matrix: the design holds n and a read-only copy of
+    ``gram`` only, so it serves every distribution and the simulator but not
+    ``select_model*``.  ``seed`` has no effect; it is kept for compatibility.
     """
     gram = np.atleast_2d(np.asarray(gram, dtype=float))
     P = gram.shape[0]
@@ -383,15 +404,12 @@ def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesig
     # Cholesky reads one triangle only, so asymmetry would pass silently
     if gram.shape != (P, P) or not np.allclose(gram, gram.T, atol=1e-12, rtol=1e-10):
         raise ValueError("gram must be symmetric")
+    n = _integral_n(n)
     if n <= P:
         raise ValueError("need n > P")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    basis, _ = np.linalg.qr(gen.standard_normal((n, P)))
-    try:
-        chol = np.linalg.cholesky(n * gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("gram must be symmetric positive definite") from exc
-    return RegressionDesign(basis @ chol.T)
+    design = RegressionDesign._from_gram(n, gram)
+    design.factor  # raises IllConditionedError unless gram is positive definite
+    return design
 
 
 def load_design_csv(path) -> RegressionDesign:

@@ -4,15 +4,18 @@ Runs the select-then-estimate procedure on replications of the model
 Y = X theta + sigma u with standard normal noise, and records the scaled
 transformed estimation errors together with the selected orders.
 
-With X = QR, the selector and every restricted fit read Y only through
-z = Q'y and the full-model residual sum of squares RSS.  For Gaussian noise
-these are independent, z ~ N(R theta, sigma^2 I_P) and RSS ~ sigma^2
-chi^2_{n-P}, so a replication draws exactly those P + 1 numbers instead of
-n noise values: z = R theta + sigma w from P standard normals w and, for the
-data-driven selector, the residual scale sigma sqrt(chi^2_{n-P} / (n - P)).
-The reports therefore have the law of the procedure run on whole responses;
-``TestSimulationStatistics.test_full_response_procedure_agrees_in_law`` in
-``tests/test_montecarlo.py`` keeps that procedure as the oracle.
+With X = QR and R's diagonal positive, R = sqrt(n) L' for the lower
+Cholesky factor L of X'X/n.  The selector and every restricted fit read Y
+only through z = Q'y and the full-model residual sum of squares RSS.  For
+Gaussian noise these are independent, z ~ N(L'psi, sigma^2 I_P) with
+psi = sqrt(n) theta and RSS ~ sigma^2 chi^2_{n-P}, so a replication draws
+those P + 1 numbers instead of n noise values: z = L'psi + sigma w from P
+standard normals w and, for the data-driven selector, the residual scale
+sigma sqrt(chi^2_{n-P} / (n - P)).  Like ``finite_sample_engine``, the
+simulator reads a design only through (L, n), so a design given by its Gram
+matrix serves.  The reports have the law of the procedure run on whole
+responses; ``TestSimulationStatistics.test_full_response_procedure_agrees_in_law``
+in ``tests/test_montecarlo.py`` keeps that procedure as the oracle.
 
 Draws come from a counter-based (Philox) stream: replications are laid out
 in fixed-size blocks, block b drawing from the b-th jumped substream (first
@@ -33,12 +36,7 @@ from numpy.random import Generator, Philox
 from scipy.linalg import solve_triangular
 
 from .config import ConfigError
-from .model import (
-    ParameterPoint,
-    RegressionDesign,
-    SelectionFamily,
-    TargetFunctional,
-)
+from .model import ParameterPoint, RegressionDesign, SelectionFamily, TargetFunctional
 from .kernels import normals_from_stream
 from .selection import _largest_admissible, _tratios
 
@@ -93,36 +91,6 @@ class SimulationReport:
         return self.draws.shape[1]
 
 
-def _simulate_block(
-    seed: int,
-    block_index: int,
-    rows: int,
-    design: RegressionDesign,
-    family: SelectionFamily,
-    params: ParameterPoint,
-    variant: str,
-    maps: np.ndarray,
-    base: np.ndarray,
-):
-    n, P = design.n, design.P
-    _, r = design.qr
-    gen = Generator(Philox(key=seed).jumped(block_index))
-    # z = Q'y of each replication (one per column), then the residual scale,
-    # which is independent of z
-    w = normals_from_stream(gen, (rows, P))
-    z = (r @ params.theta)[:, None] + params.sigma * w.T
-    if variant == "unknown":
-        scale = params.sigma * np.sqrt(gen.chisquare(n - P, rows) / (n - P))
-    else:
-        scale = params.sigma
-    selected = _largest_admissible(family, _tratios(design, z, scale))
-
-    # every order's fit of every replication, then the selected one's
-    fits = (maps @ z).reshape(-1, base.size, rows)
-    draws = fits[selected - family.min_order, :, np.arange(rows)] + base
-    return draws, selected
-
-
 def simulate(
     design: RegressionDesign,
     family: SelectionFamily,
@@ -146,26 +114,38 @@ def simulate(
         raise ValueError(f"variant must be one of {_VARIANTS}")
     if family.P != design.P or target.P != design.P:
         raise ValueError("family/target inconsistent with design")
+    if params.theta.size != design.P:
+        raise ValueError("theta length inconsistent with design")
 
-    # the order-p draw is sqrt(n) A[:, :p] R[:p,:p]^{-1} (Q'y)[:p] + base, the
-    # restricted fit mapped through the target; maps stacks the k rows of each
-    # order's operator, zero-padded to P columns (the order-0 fit is zero)
-    _, r = design.qr
-    rootn = math.sqrt(design.n)
-    k = target.A.shape[0]
-    maps = np.zeros((len(family.orders), k, design.P))
+    # the order-p draw is A[:, :p] L[:p,:p]^{-T} z[:p] - A psi, the restricted
+    # fit mapped through the target; maps stacks the k rows of each order's
+    # operator, zero-padded to P columns (the order-0 fit is zero)
+    n, P, L = design.n, design.P, design.factor
+    psi = math.sqrt(n) * params.theta
+    maps = np.zeros((len(family.orders), target.k, P))
     for i, p in enumerate(family.orders):
         if p > 0:
-            maps[i, :, :p] = rootn * solve_triangular(r[:p, :p], target.A[:, :p].T, trans="T").T
-    maps = maps.reshape(-1, design.P)
-    base = -rootn * (target.A @ params.theta)
+            maps[i, :, :p] = solve_triangular(L[:p, :p], target.A[:, :p].T, lower=True).T
+    maps = maps.reshape(-1, P)
+    mean, base = L.T @ psi, -(target.A @ psi)
 
-    rows = _block_rows(design.P)
+    rows = _block_rows(P)
     n_blocks = (R + rows - 1) // rows
     sizes = [rows] * (n_blocks - 1) + [R - rows * (n_blocks - 1)]
 
     def run(b: int):
-        return _simulate_block(seed, b, sizes[b], design, family, params, variant, maps, base)
+        m = sizes[b]
+        gen = Generator(Philox(key=seed).jumped(b))
+        # z = Q'y of each replication (one per column), then the residual
+        # scale, which is independent of z
+        z = mean[:, None] + params.sigma * normals_from_stream(gen, (m, P)).T
+        scale = params.sigma
+        if variant == "unknown":
+            scale = scale * np.sqrt(gen.chisquare(n - P, m) / (n - P))
+        selected = _largest_admissible(family, _tratios(z, scale))
+        # every order's fit of every replication, then the selected one's
+        fits = (maps @ z).reshape(-1, target.k, m)
+        return fits[selected - family.min_order, :, np.arange(m)] + base, selected
 
     workers = workers if workers is not None else _worker_count()
     if workers > 1 and n_blocks > 1:

@@ -53,11 +53,12 @@ class SelectionOutcome:
 def _tstats_and_scale(design: RegressionDesign, Y, scale=None):
     """t-ratios of every nested order for each row of Y, from one QR of X.
 
-    With X = QR, the order-p fit solves R[:p,:p] coef = (Q'y)[:p], so its p-th
-    coefficient is (Q'y)_p / R_pp and its t-ratio sign(R_pp) (Q'y)_p / scale.
-    ``Y`` is (m, n), one response per row; returns (t, scale): t is
-    (P + 1, m) with t[0] = 0, scale the (m,) residual scales of the full
-    model (or the given scale).
+    With X = QR and R's diagonal positive, the order-p fit solves
+    R[:p,:p] coef = (Q'y)[:p]; its p-th coefficient (Q'y)_p / R_pp has
+    standard error scale / R_pp, so its t-ratio is (Q'y)_p / scale.  ``Y`` is
+    (m, n), one response per row; returns (t, scale): t is (P + 1, m) with
+    t[0] = 0, scale the (m,) residual scales of the full model (or the given
+    scale).  A design given by its Gram matrix alone has no X: ``ValueError``.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != design.n:
@@ -79,19 +80,18 @@ def _tstats_and_scale(design: RegressionDesign, Y, scale=None):
         scale[degenerate] = 0.0
     else:
         scale = np.full(len(Y), float(scale))
-    return _tratios(design, z, scale), scale
+    return _tratios(z, scale), scale
 
 
-def _tratios(design: RegressionDesign, z: np.ndarray, scale) -> np.ndarray:
+def _tratios(z: np.ndarray, scale) -> np.ndarray:
     """t-ratios (P + 1, m) of every nested order from z = Q'Y' (P, m).
 
-    Order p's ratio is sign(R_pp) z_p / scale, with ``scale`` a scalar or the
-    (m,) residual scales; t[0] = 0.  A zero scale comes with z = 0, whose
-    ratios are 0.
+    Order p's ratio is z_p / scale, with ``scale`` a scalar or the (m,)
+    residual scales; t[0] = 0.  A zero scale comes with z = 0, whose ratios
+    are 0.
     """
-    _, r = design.qr
-    t = np.zeros((design.P + 1, z.shape[1]))
-    t[1:] = np.sign(np.diag(r))[:, None] * z / np.maximum(scale, np.finfo(float).tiny)
+    t = np.zeros((z.shape[0] + 1, z.shape[1]))
+    t[1:] = z / np.maximum(scale, np.finfo(float).tiny)
     return t
 
 

@@ -1,5 +1,7 @@
 """Design/family/target types and the deterministic moment quantities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -245,9 +247,43 @@ class TestDesignConstruction:
     def test_design_from_gram_exact(self):
         gram = np.array([[2.0, -0.3], [-0.3, 0.5]])
         d = design_from_gram(40, gram, seed=4)
-        assert np.allclose(d.gram, gram, atol=1e-12)
-        d2 = design_from_gram(40, gram, seed=4)
-        assert np.array_equal(d.X, d2.X)
+        assert d.X is None
+        assert np.array_equal(d.gram, gram)
+        assert (d.n, d.P) == (40, 2)
+
+    def test_design_from_gram_builds_no_matrix(self):
+        # n and the P x P Gram matrix only: no n-sized array at any n
+        gram = np.array([[2.0, -0.3], [-0.3, 0.5]])
+        tracemalloc.start()
+        try:
+            d = design_from_gram(10**9, gram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.n == 10**9
+        assert peak < 1 << 20
+
+    def test_non_integral_n_rejected(self):
+        gram = np.eye(2)
+        for make in (
+            lambda n: design_from_gram(n, gram),
+            lambda n: ps.TwoRegressorSetting(rho=0.5, sigma1=1.0, sigma2=1.0, theta2=0.0,
+                                             n=n, c2=2.0),
+        ):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                make(7.5)
+            n = make(7.0).n
+            assert n == 7 and type(n) is int
+
+    def test_qr_has_positive_diagonal(self):
+        # R = sqrt(n) L' with L the lower Cholesky factor of X'X/n; numpy's
+        # Householder QR alone gives some negative diagonal entries here
+        X = np.random.default_rng(1).standard_normal((30, 4))
+        d = ps.RegressionDesign(X)
+        q, r = d.qr
+        assert np.all(np.diag(r) > 0.0)
+        assert np.allclose(q @ r, X, atol=1e-12)
+        assert np.allclose(r, np.sqrt(d.n) * d.factor.T, atol=1e-12)
 
     @pytest.mark.parametrize(
         "gram",

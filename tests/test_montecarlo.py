@@ -14,7 +14,12 @@ from postselect.kernels import normals_from_stream
 from postselect.montecarlo import write_report_csv
 from postselect.selection import _largest_admissible, _tstats_and_scale
 
-from conftest import CLASSIC, classic_setting
+from conftest import (
+    CLASSIC,
+    classic_components_with_matrix,
+    classic_setting,
+    design_with_matrix,
+)
 
 
 def p10_components():
@@ -30,7 +35,7 @@ def p10_components():
 def order0_k2_components():
     """P = 3 with minimal order 0 (the empty model) and a bivariate target."""
     gram = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-    design = ps.design_from_gram(50, gram, seed=3)
+    design = design_with_matrix(50, gram, seed=3)
     family = ps.SelectionFamily(min_order=0, criticals=(2.0, 2.0, 2.0))
     target = ps.TargetFunctional(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     params = ps.ParameterPoint(theta=np.array([0.5, 0.3, 0.0]), sigma=1.0)
@@ -38,7 +43,7 @@ def order0_k2_components():
 
 
 PROBLEMS = {
-    "classic": lambda: classic_setting(0.75).components(),
+    "classic": classic_components_with_matrix,
     "p10": p10_components,
     "order0_k2": order0_k2_components,
 }
@@ -91,6 +96,23 @@ class TestDeterminism:
         a = ps.simulate(design, family, target, params, 1000, "unknown", seed=4)
         b = ps.simulate(design, family, target, params, 1000, "unknown", seed=5)
         assert not np.array_equal(a.draws, b.draws)
+
+    @pytest.mark.parametrize("variant", ["known", "unknown"])
+    def test_design_enters_only_through_its_gram(self, variant):
+        # the simulator reads n and X'X/n: a Gram-only copy of an X-built
+        # design gives the same report bit for bit
+        built, family, target, params = p10_components()
+        gram_only = ps.design_from_gram(built.n, built.gram)
+        a = ps.simulate(built, family, target, params, 20_000, variant, seed=23)
+        b = ps.simulate(gram_only, family, target, params, 20_000, variant, seed=23)
+        assert np.array_equal(a.draws, b.draws)
+        assert np.array_equal(a.selected, b.selected)
+
+    def test_rejects_wrong_theta_length(self, classic_components):
+        design, family, target, _ = classic_components
+        params = ps.ParameterPoint(theta=np.zeros(3), sigma=1.0)
+        with pytest.raises(ValueError, match="theta length inconsistent with design"):
+            ps.simulate(design, family, target, params, 100)
 
 
 class TestSimulationStatistics:

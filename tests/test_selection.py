@@ -109,6 +109,17 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             ps.select_model_known_sigma(np.zeros(design.n), design, family, -1.0)
 
+    def test_gram_only_design_rejected(self):
+        # observed responses need the regressor matrix, which a design given
+        # by its Gram matrix does not have
+        design, family, _, params = classic_setting(0.75).components()
+        assert design.X is None
+        y = np.ones(design.n)
+        with pytest.raises(ValueError, match="regressor matrix"):
+            ps.select_model(y, design, family)
+        with pytest.raises(ValueError, match="regressor matrix"):
+            ps.select_model_known_sigma(y, design, family, params.sigma)
+
 
 class TestSelectionProbKnown:
     def test_classic_weights(self):
