@@ -21,8 +21,7 @@ where theta vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +33,8 @@ from .model import (
     RegressionDesign,
     SelectionFamily,
     TargetFunctional,
-    gram_factor,
+    _checked_gram,
+    _readonly,
     scaled_omitted_bias,
 )
 
@@ -50,47 +50,37 @@ __all__ = [
     "recentered_cdf",
 ]
 
-_MIN_EIG_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class LimitParameter:
-    """Limit of rescaled parameters: psi in (R u {-inf, inf})^P, sigma, Gram limit Q."""
+    """Limit of rescaled parameters: psi in (R u {-inf, inf})^P, sigma, Gram limit Q.
+
+    Q passes the check of ``design_from_gram`` (finite, symmetric, with a
+    Cholesky factor); ``factor`` is that lower Cholesky factor.
+    """
 
     psi: np.ndarray
     sigma: float
     Q: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         psi = np.atleast_1d(np.asarray(self.psi, dtype=float))
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         if psi.ndim != 1 or np.any(np.isnan(psi)):
             raise ValueError("psi must be a vector of reals or +-inf")
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
-        if Q.shape != (psi.size, psi.size):
+        if np.atleast_2d(self.Q).shape != (psi.size, psi.size):
             raise ValueError("Q shape inconsistent with psi")
-        if not np.allclose(Q, Q.T, atol=1e-12, rtol=1e-10):
-            raise ValueError("Q must be symmetric")
-        eig = np.linalg.eigvalsh(Q)
-        if eig[0] <= _MIN_EIG_TOL * max(1.0, float(eig[-1])):
-            raise ValueError("Q must be positive definite")
-        psi_ro = psi.copy()
-        psi_ro.setflags(write=False)
-        Q_ro = Q.copy()
-        Q_ro.setflags(write=False)
-        object.__setattr__(self, "psi", psi_ro)
-        object.__setattr__(self, "Q", Q_ro)
+        Q, factor = _checked_gram(self.Q, "Q")
+        object.__setattr__(self, "psi", _readonly(psi))
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "factor", factor)
 
     @property
     def P(self) -> int:
         return self.psi.size
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """Lower Cholesky factor of ``Q``."""
-        return gram_factor(self.Q)
 
     @classmethod
     def from_design(cls, design: RegressionDesign, psi, sigma: float) -> "LimitParameter":

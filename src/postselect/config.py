@@ -22,6 +22,7 @@ from .model import (
     RegressionDesign,
     SelectionFamily,
     TargetFunctional,
+    _integral_n,
     load_design_csv,
 )
 from .distribution import TwoRegressorSetting
@@ -249,7 +250,10 @@ def parse_config(path) -> RunConfig:
         cfg.abs_tol = float(run.get("abs_tol", cfg.abs_tol))
         cfg.rel_tol = float(run.get("rel_tol", cfg.rel_tol))
         if "n_list" in run:
-            cfg.n_list = tuple(int(x) for x in _floats(run["n_list"]))
+            try:
+                cfg.n_list = tuple(_integral_n(x) for x in _floats(run["n_list"]))
+            except ValueError as exc:
+                raise ConfigError(f"run.n_list: {exc}") from exc
         cfg.mc_check = run.get("mc_check", "false").strip().lower() in ("1", "true", "yes")
     except ConfigError:
         raise

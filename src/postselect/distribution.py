@@ -45,7 +45,6 @@ from .model import (
     SelectionFamily,
     TargetFunctional,
     _integral_n,
-    _numerical_rank,
     design_from_gram,
 )
 
@@ -85,8 +84,6 @@ def finite_sample_engine(
         raise ValueError(f"variant must be one of {_VARIANTS}")
     if family.P != design.P:
         raise ValueError("family order range inconsistent with design")
-    if target is not None and target.P != design.P:
-        raise ValueError("target transform width inconsistent with design")
     if params.theta.size != design.P:
         raise ValueError("theta length inconsistent with design")
     psi = math.sqrt(design.n) * params.theta
@@ -109,32 +106,33 @@ def cdf_unknown_variance(
     return finite_sample_engine(design, family, target, params, "unknown").cdf(t, spec)
 
 
-def _check_density_exists(family: SelectionFamily, target: TargetFunctional) -> None:
-    O = family.min_order
-    if O == 0:
+def _density_engine(design, family, target, params, variant: str) -> MixtureEngine:
+    """``finite_sample_engine`` of a distribution that has a Lebesgue density."""
+    if family.min_order == 0:
         raise DensityUndefinedError(
             "minimal order 0 puts an atom at the origin: no Lebesgue density"
         )
-    if _numerical_rank(target.A[:, :O]) < target.k:
+    engine = finite_sample_engine(design, family, target, params, variant)
+    # psi is finite, so the mixture starts at the minimal order
+    if engine.component(family.min_order).rank < target.k:
         raise DensityUndefinedError(
             "leading transform block is rank deficient: some components are degenerate"
         )
+    return engine
 
 
 def density_known_variance(
     design, family, target, params, t, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> DistributionResult:
     """Density of the transformed estimator under the known-scale selector."""
-    _check_density_exists(family, target)
-    return finite_sample_engine(design, family, target, params, "known").density(t, spec)
+    return _density_engine(design, family, target, params, "known").density(t, spec)
 
 
 def density_unknown_variance(
     design, family, target, params, t, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> DistributionResult:
     """Density of the transformed estimator under the data-driven selector."""
-    _check_density_exists(family, target)
-    return finite_sample_engine(design, family, target, params, "unknown").density(t, spec)
+    return _density_engine(design, family, target, params, "unknown").density(t, spec)
 
 
 def weighted_conditional_cdf(

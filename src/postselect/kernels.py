@@ -390,7 +390,7 @@ def _gauss_kronrod(
     """
     if not b > a:
         return QuadResult(0.0, 0.0, True)
-    edges = np.unique(np.clip(np.r_[a, np.asarray(breakpoints, dtype=float), b], a, b))
+    edges = np.unique(np.clip(np.concatenate(([a], breakpoints, [b])), a, b))
     new_lo, new_hi = edges[:-1], edges[1:]
     lo = hi = val = err = np.empty(0)
     nodes = 0
@@ -400,9 +400,9 @@ def _gauss_kronrod(
         fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
         nodes += x.size
         kron = half * (fx @ _KRONROD_WEIGHTS)
-        lo, hi = np.r_[lo, new_lo], np.r_[hi, new_hi]
-        val = np.r_[val, kron]
-        err = np.r_[err, np.abs(kron - half * (fx @ _GAUSS_WEIGHTS))]
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        val = np.concatenate((val, kron))
+        err = np.concatenate((err, np.abs(kron - half * (fx @ _GAUSS_WEIGHTS))))
         total, err_sum = float(val.sum()), float(err.sum())
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if err_sum <= tol:
@@ -415,7 +415,7 @@ def _gauss_kronrod(
         if nodes + 2 * _GK_NODES.size * int(split.sum()) > spec.max_nodes:
             return QuadResult(total, err_sum, False)
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo, new_hi = np.r_[lo[split], mid], np.r_[mid, hi[split]]
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
         keep = ~split
         lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
 
@@ -475,8 +475,9 @@ def _conditioned_region_prob(
         plain = _conditioned_region_prob(mean, cov, t, None, spec, None, ())
         return QuadResult(g * plain.value, abs(g) * plain.err_est, plain.converged)
     sd = math.sqrt(var_y)
-    beta = cov @ d / var_y
-    w, v = np.linalg.eigh(cov - var_y * np.outer(beta, beta))
+    cov_d = cov @ d
+    beta = cov_d / var_y  # var_y beta beta' would overflow for a tiny d
+    w, v = np.linalg.eigh(cov - np.outer(cov_d, beta))
     c = v[:, -1] * math.sqrt(max(float(w[-1]), 0.0))
     c[c * c <= noise] = 0.0
     room = t - mean  # coordinate i lies in the region when beta_i y + c_i W <= room_i

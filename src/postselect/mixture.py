@@ -15,10 +15,12 @@ go through one law object per order (``kernels.ScaleSmoother`` or
 probabilities of the orders above.
 
 The engine takes the Cholesky factor L of a Gram matrix Q, sigma and a
-rescaled parameter psi, and derives the lowest order p_star(psi), the biases
-b_p = scaled_omitted_bias(L, psi[p:], p), the centers b_q[q-1] + psi_q and
-the shifts A b_p.  The finite-sample case is psi = sqrt(n) theta, Q = X'X/n
-(b_p = sqrt(n) (eta(p) - theta)); the limit case is the limit psi and Q.
+rescaled parameter psi, and derives p_star(psi) and, per order p from there,
+the bias b_p = scaled_omitted_bias(L, psi[p:], p), the test (sigma xi_p,
+center b_p[p-1] + psi_p, c_p) and, by ``model.order_fit``, the component
+(shift A b_p) and the regression (b, zeta).  The finite-sample case is psi =
+sqrt(n) theta, Q = X'X/n (b_p = sqrt(n) (eta(p) - theta)); the limit case is
+the limit psi and Q.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .kernels import (
 from .model import (
     GaussianComponent,
     SelectionFamily,
-    conditional_from_factor,
-    component_from_bias,
+    order_fit,
     scaled_omitted_bias,
     xi_from_factor,
 )
@@ -127,43 +128,35 @@ class MixtureEngine:
         if h_df is not None and h_df < 1:
             raise ValueError("h_df must be >= 1")
         self.h_df = h_df
-        # psi is finite above p_lo, so every bias from p_lo on is finite
-        orders = range(self.p_lo, self.P + 1)
-        self._bias = {p: scaled_omitted_bias(self.factor, psi[p:], p) for p in orders}
-        self._center = {q: float(self._bias[q][q - 1] + psi[q - 1]) for q in orders[1:]}
-        self._xi = {q: xi_from_factor(self.factor, q) for q in self._center}
-        # (sigma xi_q, center, c_q): the order-q test accepts when the scaled
-        # estimate lies within s c_q sigma xi_q of its center
-        self._tests = {
-            q: (self.sigma * self._xi[q], self._center[q], family.critical(q))
-            for q in self._xi
-        }
-        self._cond: dict[int, tuple[np.ndarray, float]] = {}
-        self._comp: dict[int, GaussianComponent] = {}
+        # (test, component, b, zeta) per order from p_lo on; the test (sigma xi_p,
+        # center, c_p) accepts when the scaled estimate lies within s c_p sigma
+        # xi_p of its center (None at p_lo); the rest is None without a target
+        self._orders: dict[int, tuple] = {}
+        for p in range(self.p_lo, self.P + 1):
+            # psi is finite above p_lo, so every bias from p_lo on is finite
+            bias = scaled_omitted_bias(self.factor, psi[p:], p)
+            test = comp = b = zeta = None
+            if p > self.p_lo:
+                center = float(bias[p - 1] + psi[p - 1])
+                test = (self.sigma * xi_from_factor(self.factor, p), center, family.critical(p))
+            if self.A is not None:
+                fit = order_fit(self.factor, self.A, p)
+                comp = fit.component(self.sigma, self.A @ bias)
+                b, zeta = fit.b, math.sqrt(fit.zeta_sq)
+            self._orders[p] = (test, comp, b, zeta)
+        # the one lazily filled cache: a weights-only call reads one order's law
         self._smoothers: dict[int, ScaleSmoother | PointScale] = {}
 
-    # -- derived quantities ------------------------------------------------
-
-    def _conditional(self, p: int) -> tuple[np.ndarray, float]:
-        """(regression row b, conditional scale zeta) of order p."""
-        if p not in self._cond:
-            if self.A is None:
-                raise ValueError("engine built without a target transform")
-            _, b, zeta_sq = conditional_from_factor(self.factor, self.A, p)
-            self._cond[p] = (b, math.sqrt(zeta_sq))
-        return self._cond[p]
-
     def component(self, p: int) -> GaussianComponent:
-        if p not in self._comp:
-            if self.A is None:
-                raise ValueError("engine built without a target transform")
-            self._comp[p] = component_from_bias(self.factor, self.A, self.sigma, self._bias[p], p)
-        return self._comp[p]
+        comp = self._orders[p][1]
+        if comp is None:
+            raise ValueError("engine built without a target transform")
+        return comp
 
     # -- interval probabilities ---------------------------------------------
 
     def _tests_above(self, p: int) -> tuple:
-        return tuple(self._tests[q] for q in range(p + 1, self.P + 1))
+        return tuple(self._orders[q][0] for q in range(p + 1, self.P + 1))
 
     def gamma_tail(self, p: int, s):
         """Product of acceptance probabilities for all orders above p."""
@@ -179,13 +172,10 @@ class MixtureEngine:
             self._smoothers[p] = PointScale(g) if self.h_df is None else ScaleSmoother(self.h_df, g)
         return self._smoothers[p]
 
-    def _width(self, p: int) -> float:
-        """Half-width c_p sigma xi_p of the order-p acceptance interval at s = 1."""
-        return self.family.critical(p) * self.sigma * self._xi[p]
-
     def _smoothed_reject(self, p: int, u, v: float) -> np.ndarray:
         """int P(|u + v Z| >= s c_p sigma xi_p) gamma_tail(p, s) law(ds)."""
-        return self.smoother(p).reject(u, v, self._width(p))
+        d, _, c = self._orders[p][0]
+        return self.smoother(p).reject(u, v, c * d)
 
     # -- selection weights ---------------------------------------------------
 
@@ -199,7 +189,8 @@ class MixtureEngine:
         if p == self.p_lo:
             val = smoother.mass()
         else:
-            val = float(self._smoothed_reject(p, self._center[p], self.sigma * self._xi[p]))
+            d, center, _ = self._orders[p][0]
+            val = float(self._smoothed_reject(p, center, d))
         return QuadResult(val, smoother.err_est, smoother.converged(spec))
 
     # -- cdf terms ------------------------------------------------------------
@@ -216,9 +207,8 @@ class MixtureEngine:
                 base.converged and w.converged,
             )
 
-        b, zeta = self._conditional(p)
+        (d, center, c), _, b, zeta = self._orders[p]
         shift = comp.mean_shift
-        center = self._center[p]
         # The integrand reads z only through u = b'z - b'shift + center, and
         # varies fast only in windows of half-width 9 sigma zeta around the
         # edges of the scale law (|u| = c_p sigma xi_p at known scale, u = 0
@@ -234,7 +224,7 @@ class MixtureEngine:
         outer = gaussian_region_prob(
             comp, t, integrand, spec, projection=b,
             breakpoints=[
-                offset + e + r for e in smoother.edges(self._width(p)) for r in (-reach, reach)
+                offset + e + r for e in smoother.edges(c * d) for r in (-reach, reach)
             ],
         )
         return QuadResult(
@@ -251,9 +241,9 @@ class MixtureEngine:
         if p == self.p_lo:
             w = self.weight(p, spec)
             return QuadResult(pdf * w.value, pdf * w.err_est, w.converged)
-        b, zeta = self._conditional(p)
+        (_, center, _), _, b, zeta = self._orders[p]
         x = np.atleast_1d(np.asarray(t, dtype=float)) - comp.mean_shift
-        u = float(x @ b) + self._center[p]
+        u = float(x @ b) + center
         val = float(self._smoothed_reject(p, u, self.sigma * zeta))
         smoother = self.smoother(p)
         return QuadResult(val * pdf, smoother.err_est * pdf, smoother.converged(spec))

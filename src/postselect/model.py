@@ -6,7 +6,8 @@ keeps the first p regressors.  Every deterministic quantity needed by the
 distribution formulas is a function of the scaled Gram matrix Q = X'X/n (plus
 n).  The helpers take its lower Cholesky factor L, whose leading blocks
 factor every Q[:p, :p]; the large-sample module reuses them verbatim with
-the factor of the limit matrix in place of that of X'X/n.
+the factor of the limit matrix in place of that of X'X/n.  ``order_fit``
+gives all that a target transform makes of the order-p fit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -32,9 +34,9 @@ __all__ = [
     "gaussian_component",
     "gram_factor",
     "xi_from_factor",
-    "conditional_from_factor",
-    "component_covariance",
-    "component_from_bias",
+    "OrderFit",
+    "order_fit",
+    "order_operator",
     "mean_adjustment",
     "scaled_omitted_bias",
     "design_from_gram",
@@ -315,55 +317,64 @@ def xi(design: RegressionDesign, p: int) -> float:
     return xi_from_factor(design.factor, p)
 
 
-def conditional_from_factor(L: np.ndarray, A: np.ndarray, p: int):
-    """Regression quantities of the p-th coefficient on the transformed fit.
+def order_operator(L: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
+    """W = L[:p,:p]^{-1} A[:, :p]' (p x k), the operator of the order-p fit
+    mapped through the k x P target array A (``OrderFit``)."""
+    P = L.shape[0]
+    if A.shape[1] != P:
+        raise ValueError("target transform width inconsistent with design")
+    if not 0 <= p <= P:
+        raise ValueError(f"order {p} outside [0, {P}]")
+    return solve_triangular(L[:p, :p], A[:, :p].T, lower=True)
 
-    Returns (C, b, zeta_sq): C is the covariance vector between the
-    transformed order-p fit and its p-th coefficient, b the conditional
-    regression row (Moore-Penrose generalized inverse), and zeta_sq the
-    conditional variance factor xi^2 - b C.
 
-    With W = L[:p,:p]^{-1} A[:, :p]' and v = e_p / L[p-1, p-1] (so xi^2 = v'v),
-    C = W'v, b = W^+ v, and zeta_sq is the squared norm of the part of v
-    orthogonal to the columns of W.  One SVD of W gives all three; zeta_sq is
-    nonnegative, and exactly 0 when W has rank p.  rank(W) = rank(A[:, :p])
-    is decided on A, so roundoff in W adds no direction.
+class OrderFit(NamedTuple):
+    """The order-p restricted fit mapped through a target A (``order_fit``).
+
+    For z ~ N(L'psi, sigma^2 I_P) the transformed fit is W'z[:p] (``W`` from
+    ``order_operator``) and its p-th coefficient v'z[:p], v = e_p / L[p-1,
+    p-1].  ``rank`` = rank(A[:, :p]) = rank(W), decided on A so that roundoff
+    in W adds no direction.  ``C`` = W'v is their covariance over sigma^2,
+    ``b`` = W^+ v the regression row of the coefficient on the fit, and
+    ``zeta_sq`` = xi_p^2 - b C the squared norm of the part of v orthogonal to
+    the columns of W (0 at rank p).  At p = 0: W is 0 x k, C and b zero.
     """
+
+    W: np.ndarray
+    rank: int
+    C: np.ndarray
+    b: np.ndarray
+    zeta_sq: float
+
+    def component(self, sigma: float, mean_shift) -> GaussianComponent:
+        """The transformed fit's component: covariance sigma^2 W'W about ``mean_shift``."""
+        cov = sigma**2 * (self.W.T @ self.W)
+        return GaussianComponent(mean_shift, 0.5 * (cov + cov.T), self.rank)
+
+
+def order_fit(L: np.ndarray, A: np.ndarray, p: int) -> OrderFit:
+    """``OrderFit`` of order p: one solve for W, one SVD of W, one rank decision."""
+    W = order_operator(L, A, p)
+    k = W.shape[1]
+    if p == 0:
+        return OrderFit(W, 0, np.zeros(k), np.zeros(k), 0.0)
     v = xi_from_factor(L, p) * np.eye(p)[-1]
-    Ap = np.atleast_2d(np.asarray(A, dtype=float))[:, :p]
-    W = solve_triangular(L[:p, :p], Ap.T, lower=True)
-    r = _numerical_rank(Ap)
+    r = _numerical_rank(A[:, :p])
     U, s, Vt = np.linalg.svd(W)
     coords = U.T @ v
-    C = W.T @ v
     b = Vt[:r].T @ (coords[:r] / s[:r])
     zeta_sq = float(coords[r:] @ coords[r:])
     if zeta_sq < _ZETA_REL_SNAP * float(v @ v):
         zeta_sq = 0.0
-    return C, b, zeta_sq
+    return OrderFit(W, r, W.T @ v, b, zeta_sq)
 
 
 def conditional_quantities(design: RegressionDesign, target: TargetFunctional, p: int):
-    """Conditional-regression quantities (C, b, zeta_sq) for the order-p fit."""
-    return conditional_from_factor(design.factor, target.A, p)
-
-
-def component_covariance(L: np.ndarray, A: np.ndarray, sigma: float, p: int) -> np.ndarray:
-    """sigma^2 A[:p] (Q[:p,:p])^{-1} A[:p]' (k x k, zero matrix at p = 0)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    k = A.shape[0]
+    """(C, b, zeta_sq) of the order-p ``OrderFit``, 1 <= p <= P."""
     if p == 0:
-        return np.zeros((k, k))
-    W = solve_triangular(L[:p, :p], A[:, :p].T, lower=True)
-    cov = sigma**2 * (W.T @ W)
-    return 0.5 * (cov + cov.T)
-
-
-def component_from_bias(L, A, sigma: float, bias, p: int) -> GaussianComponent:
-    """Order-p component with scaled bias ``bias`` (``scaled_omitted_bias``)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    cov = component_covariance(L, A, sigma, p)
-    return GaussianComponent(mean_shift=A @ bias, covariance=cov, rank=_numerical_rank(A[:, :p]))
+        raise ValueError("order 0 has no tested coefficient")
+    fit = order_fit(design.factor, target.A, p)
+    return fit.C, fit.b, fit.zeta_sq
 
 
 def gaussian_component(
@@ -373,14 +384,11 @@ def gaussian_component(
     p: int,
 ) -> GaussianComponent:
     """Gaussian component of the order-p fit: scaled-bias mean shift and covariance."""
-    P = design.P
-    if not 0 <= p <= P:
-        raise ValueError(f"order {p} outside [0, {P}]")
-    if params.theta.shape != (P,):
-        raise ValueError(f"theta must have length {P}")
+    fit = order_fit(design.factor, target.A, p)
+    if params.theta.shape != (design.P,):
+        raise ValueError(f"theta must have length {design.P}")
     psi = math.sqrt(design.n) * params.theta
-    bias = scaled_omitted_bias(design.factor, psi[p:], p)
-    return component_from_bias(design.factor, target.A, params.sigma, bias, p)
+    return fit.component(params.sigma, target.A @ scaled_omitted_bias(design.factor, psi[p:], p))
 
 
 def _integral_n(n) -> int:
@@ -390,6 +398,20 @@ def _integral_n(n) -> int:
     return int(n)
 
 
+def _checked_gram(gram, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copy and lower Cholesky factor of the Gram matrix ``name``:
+    ``ValueError`` unless it is finite and symmetric, ``IllConditionedError``
+    unless it is positive definite."""
+    gram = np.atleast_2d(np.asarray(gram, dtype=float))
+    P = gram.shape[0]
+    if not np.all(np.isfinite(gram)):
+        raise ValueError(f"{name} must be finite")
+    # Cholesky reads one triangle only, so asymmetry would pass silently
+    if gram.shape != (P, P) or not np.allclose(gram, gram.T, atol=1e-12, rtol=1e-10):
+        raise ValueError(f"{name} must be symmetric")
+    return _readonly(gram), gram_factor(gram)
+
+
 def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesign:
     """Design of ``n`` observations with scaled Gram matrix ``gram`` = X'X/n.
 
@@ -397,18 +419,12 @@ def design_from_gram(n: int, gram: np.ndarray, seed: int = 0) -> RegressionDesig
     ``gram`` only, so it serves every distribution and the simulator but not
     ``select_model*``.  ``seed`` has no effect; it is kept for compatibility.
     """
-    gram = np.atleast_2d(np.asarray(gram, dtype=float))
-    P = gram.shape[0]
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("gram must be finite")
-    # Cholesky reads one triangle only, so asymmetry would pass silently
-    if gram.shape != (P, P) or not np.allclose(gram, gram.T, atol=1e-12, rtol=1e-10):
-        raise ValueError("gram must be symmetric")
+    gram, factor = _checked_gram(gram, "gram")
     n = _integral_n(n)
-    if n <= P:
+    if n <= gram.shape[0]:
         raise ValueError("need n > P")
     design = RegressionDesign._from_gram(n, gram)
-    design.factor  # raises IllConditionedError unless gram is positive definite
+    object.__setattr__(design, "factor", factor)  # fills the cached property
     return design
 
 

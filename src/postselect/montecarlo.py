@@ -11,9 +11,11 @@ Gaussian noise these are independent, z ~ N(L'psi, sigma^2 I_P) with
 psi = sqrt(n) theta and RSS ~ sigma^2 chi^2_{n-P}, so a replication draws
 those P + 1 numbers instead of n noise values: z = L'psi + sigma w from P
 standard normals w and, for the data-driven selector, the residual scale
-sigma sqrt(chi^2_{n-P} / (n - P)).  Like ``finite_sample_engine``, the
-simulator reads a design only through (L, n), so a design given by its Gram
-matrix serves.  The reports have the law of the procedure run on whole
+sigma sqrt(chi^2_{n-P} / (n - P)).  The order-p fit mapped through the
+target is W'z[:p], with W from ``model.order_operator`` (as in the engine's
+``model.OrderFit``).  Like ``finite_sample_engine``, the simulator reads a
+design only through (L, n), so a design given by its Gram matrix serves.
+The reports have the law of the procedure run on whole
 responses; ``TestSimulationStatistics.test_full_response_procedure_agrees_in_law``
 in ``tests/test_montecarlo.py`` keeps that procedure as the oracle.
 
@@ -33,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import solve_triangular
 
 from .config import ConfigError
-from .model import ParameterPoint, RegressionDesign, SelectionFamily, TargetFunctional
+from .model import (ParameterPoint, RegressionDesign, SelectionFamily, TargetFunctional,
+                    order_operator)
 from .kernels import normals_from_stream
 from .selection import _largest_admissible, _tratios
 
@@ -117,15 +119,14 @@ def simulate(
     if params.theta.size != design.P:
         raise ValueError("theta length inconsistent with design")
 
-    # the order-p draw is A[:, :p] L[:p,:p]^{-T} z[:p] - A psi, the restricted
-    # fit mapped through the target; maps stacks the k rows of each order's
-    # operator, zero-padded to P columns (the order-0 fit is zero)
+    # the order-p draw is W'z[:p] - A psi, the restricted fit mapped through
+    # the target; maps stacks the k rows of each order's W', zero-padded to
+    # P columns (the order-0 fit is zero)
     n, P, L = design.n, design.P, design.factor
     psi = math.sqrt(n) * params.theta
     maps = np.zeros((len(family.orders), target.k, P))
     for i, p in enumerate(family.orders):
-        if p > 0:
-            maps[i, :, :p] = solve_triangular(L[:p, :p], target.A[:, :p].T, lower=True).T
+        maps[i, :, :p] = order_operator(L, target.A, p).T
     maps = maps.reshape(-1, P)
     mean, base = L.T @ psi, -(target.A @ psi)
 

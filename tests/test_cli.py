@@ -1,5 +1,7 @@
 """Config parsing, CLI commands, file outputs, exit codes, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,7 @@ class TestExitCodes:
             ("sigma1 = 1.0", "sigma1 = nan", []),
             ("theta2 = 0.75", "theta2 = nan", []),
             ("seed = 99", "seed = 99\nn_list = 2, 7", []),
+            ("seed = 99", "seed = 99\nn_list = 7.5, 20", []),
             ("seed = 99", "seed = -1", []),
             ("grid = -2:2:5", "grid = -1:inf:3", []),
             ("", "", ["--seed", "-1"]),
@@ -141,7 +144,7 @@ class TestExitCodes:
             ("grid = -2:2:5", "grid = -1:1:1000001", []),
             ("", "", ["--grid=-1:1:100000000000"]),
         ],
-        ids=["c2_inf", "c2_nan", "sigma1_nan", "theta2_nan", "n_list_2", "seed_neg",
+        ids=["c2_inf", "c2_nan", "sigma1_nan", "theta2_nan", "n_list_2", "n_list_7.5", "seed_neg",
              "grid_inf", "seed_flag_neg", "grid_flag_inf", "replications_flag_0",
              "grid_count_cap", "grid_flag_count_cap"],
     )
@@ -351,6 +354,19 @@ class TestConvergence:
         summary = (out / "convergence_summary.csv").read_text().splitlines()
         assert summary[1] == "metric,strictly_decreasing,final_value"
         assert summary[2].startswith("sup_cdf_known_vs_unknown,1,")
+
+    def test_badly_scaled_gram_runs(self, tmp_path):
+        # sigma2 = 1e-6 gives Q an eigenvalue ratio near 1e-12; the limit
+        # engine takes it as the finite-sample engine does
+        text = TWO_REG.format(theta2="0.75", reps=10, grid="-5:5:9").replace(
+            "sigma2 = 1.0", "sigma2 = 1e-6") + "n_list = 7, 20\n"
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["convergence", "--config", _write(tmp_path, text), "--out", str(out)])
+        assert code == 0
+        _, rows = _read_table(out / "convergence.csv")
+        assert [r[0] for r in rows] == ["7", "20"]
 
     def test_single_n_gives_single_row(self, tmp_path):
         text = TWO_REG.format(theta2="0.75", reps=10, grid="-4:4:5")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate, stats
 
 import postselect as ps
@@ -42,6 +42,8 @@ class TestCdfBasics:
         st.floats(0.3, 3.0),
         st.floats(0.5, 3.0),
     )
+    # a projection b of order 1e-160, whose variance is subnormal
+    @example(rho=1.7247977080362405e-160, theta2=0.0, c2=1.0, sigma1=1.0)
     def test_monotone_for_random_settings(self, rho, theta2, c2, sigma1):
         setting = ps.TwoRegressorSetting(
             rho=rho, sigma1=sigma1, sigma2=1.0, theta2=theta2, n=9, c2=c2

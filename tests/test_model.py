@@ -9,10 +9,10 @@ from hypothesis import example, given, strategies as st
 import postselect as ps
 from postselect.model import (
     IllConditionedError,
-    conditional_from_factor,
     design_from_gram,
     gram_factor,
     mean_adjustment,
+    order_fit,
     scaled_omitted_bias,
     xi_from_factor,
 )
@@ -171,7 +171,7 @@ class TestConditionalQuantities:
         A = rng.standard_normal((k, P))
         p = int(rng.integers(1, P + 1))
         L = gram_factor(gram)
-        _, _, zeta_sq = conditional_from_factor(L, A, p)
+        zeta_sq = order_fit(L, A, p).zeta_sq
         assert 0.0 <= zeta_sq <= xi_from_factor(L, p) ** 2 + 1e-10
         if k == p:
             assert zeta_sq == 0.0
@@ -187,7 +187,7 @@ class TestConditionalQuantities:
         base = rng.standard_normal((P + 3, P))
         gram = base.T @ base / (P + 3) + 0.5 * np.eye(P)
         A = rng.standard_normal((k, P))
-        C, b, _ = conditional_from_factor(gram_factor(gram), A, p)
+        C = order_fit(gram_factor(gram), A, p).C
         Ap = A[:, :p]
         chol = np.linalg.inv(gram[:p, :p])
         M = Ap @ chol @ Ap.T
@@ -201,6 +201,17 @@ class TestConditionalQuantities:
 
 
 class TestGaussianComponent:
+    def test_target_wider_than_design_rejected(self):
+        d = _design_with_gram(10, np.eye(3) + 0.2)
+        target = ps.TargetFunctional(np.ones((1, 4)))
+        params = ps.ParameterPoint(theta=np.zeros(3), sigma=1.0)
+        for call in (
+            lambda: ps.conditional_quantities(d, target, 2),
+            lambda: ps.gaussian_component(d, target, params, 2),
+        ):
+            with pytest.raises(ValueError, match="target transform width inconsistent"):
+                call()
+
     def test_point_mass_at_zero_order(self, classic_components):
         design, _, target, params = classic_components
         comp = ps.gaussian_component(design, target, params, 0)
@@ -274,6 +285,13 @@ class TestDesignConstruction:
                 make(7.5)
             n = make(7.0).n
             assert n == 7 and type(n) is int
+
+    def test_limit_gram_checked_like_design_gram(self):
+        # positive definiteness is decided by Cholesky, not by an eigenvalue
+        # ratio, so a badly scaled but positive definite Q is accepted
+        gram = np.diag([1.0, 1e-12])
+        limit = ps.LimitParameter(psi=np.zeros(2), sigma=1.0, Q=gram)
+        assert np.array_equal(limit.factor, design_from_gram(50, gram).factor)
 
     def test_qr_has_positive_diagonal(self):
         # R = sqrt(n) L' with L the lower Cholesky factor of X'X/n; numpy's
