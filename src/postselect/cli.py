@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import LimitParameter, limit_engine, local_shift_vector
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, _check_seed, _parse_grid, parse_config
 from .distribution import TwoRegressorSetting, _two_regressor_density, finite_sample_engine
 from .kernels import QuadratureSpec, norm_pdf
 from .montecarlo import ks_distance, ks_grid, simulate, write_report_csv
@@ -230,16 +230,12 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            cfg.seed = args.seed
+            cfg.seed = _check_seed(args.seed, "--seed")
         if args.replications is not None:
             if args.replications < 1:
                 raise ConfigError("--replications: must be >= 1")
             cfg.replications = args.replications
         if args.grid is not None:
-            from .config import _parse_grid
-
             try:
                 cfg.grid = _parse_grid(args.grid)
             except ValueError as exc:

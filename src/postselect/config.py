@@ -124,6 +124,14 @@ def _optional(section, key: str, cast, where: str, default):
     return _require(section, key, cast, where) if key in section else default
 
 
+def _check_seed(seed: int, field: str) -> int:
+    """``seed`` if it is a Philox key, in [0, 2^128); else a ``ConfigError``
+    naming ``field``."""
+    if not 0 <= seed < 1 << 128:
+        raise ConfigError(f"{field}: must lie in [0, 2^128)")
+    return seed
+
+
 # Largest evaluation grid: a million points is far beyond any plotted curve,
 # and a larger COUNT is a typo that would exhaust memory in the grid array.
 _MAX_GRID_COUNT = 1_000_000
@@ -201,9 +209,9 @@ def parse_config(path) -> RunConfig:
         else:
             n = _require(model, "n", int, "model")
             P = _require(model, "p", int, "model")
-            dseed = _optional(model, "design_seed", int, "model", 0)
-            if dseed < 0:
-                raise ConfigError("model.design_seed: must be >= 0")
+            dseed = _check_seed(
+                _optional(model, "design_seed", int, "model", 0), "model.design_seed"
+            )
             try:
                 cfg.design = synthetic_design(n, P, dseed)
             except Exception as exc:
@@ -254,13 +262,17 @@ def parse_config(path) -> RunConfig:
                 cfg.n_list = tuple(_integral_n(x) for x in _floats(run["n_list"]))
             except ValueError as exc:
                 raise ConfigError(f"run.n_list: {exc}") from exc
-        cfg.mc_check = run.get("mc_check", "false").strip().lower() in ("1", "true", "yes")
+        mc_check = run.get("mc_check", "false").strip().lower()
+        if mc_check not in parser.BOOLEAN_STATES:
+            raise ConfigError(
+                f"run.mc_check: must be true/false, 1/0, yes/no or on/off, got {mc_check!r}"
+            )
+        cfg.mc_check = parser.BOOLEAN_STATES[mc_check]
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"run: {exc}") from exc
-    if cfg.seed < 0:
-        raise ConfigError("run.seed: must be >= 0")
+    _check_seed(cfg.seed, "run.seed")
     if any(n <= 2 for n in cfg.n_list):
         raise ConfigError("run.n_list: every n must exceed 2")
     if cfg.variant not in ("known", "unknown"):

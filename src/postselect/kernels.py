@@ -25,6 +25,11 @@ quasi-Monte Carlo serves only rank three or more, or a rank-two integrand
 given without its projection; ``scipy.stats`` (for its Sobol sequences) is
 imported on the first such integral, not with the package.
 
+A component's rank is decided once, by ``model.order_fit`` or by whoever
+builds the ``GaussianComponent``, and picks the path; no kernel decides it
+again.  The component's cached ``factor`` (its top ``rank`` eigenpairs) is
+the one factorization that region integrals and draws read.
+
 All functions are pure; random use is confined to counter-based (Philox)
 streams so results are reproducible and safely parallelizable.
 """
@@ -53,7 +58,6 @@ __all__ = [
     "PointScale",
     "gaussian_region_prob",
     "gaussian_density",
-    "rank_factor",
     "sample_gaussian",
     "normals_from_stream",
 ]
@@ -330,22 +334,6 @@ class PointScale:
         return True
 
 
-def rank_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor L with L L' = cov, keeping only numerically nonzero eigenpairs.
-
-    Returns a (k, r) matrix where r is the numerical rank.  Accepts any
-    symmetric positive semidefinite input (small negative eigenvalues from
-    roundoff are clipped).
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.size == 0:
-        return np.zeros((0, 0))
-    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-    tol = cov.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    keep = w > max(tol, 0.0)
-    return v[:, keep] * np.sqrt(w[keep])
-
-
 def gaussian_density(mean: np.ndarray, cov: np.ndarray, z) -> float:
     """Density of N(mean, cov) at z.  Requires nonsingular cov."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -441,29 +429,30 @@ def _point_mass(mean: np.ndarray, t: np.ndarray, integrand) -> QuadResult:
 
 
 def _conditioned_region_prob(
-    mean: np.ndarray,
-    cov: np.ndarray,
+    comp,
     t: np.ndarray,
     integrand: Callable[[np.ndarray], np.ndarray] | None,
     spec: QuadratureSpec,
     projection: np.ndarray | None,
     breakpoints,
 ) -> QuadResult:
-    """int_{z <= t} g(z) N(mean, cov)(dz) for cov of rank <= 2, by conditioning.
+    """int_{z <= t} g(z) N(mean, Cov)(dz) for ``comp`` of rank one or two, by
+    conditioning.
 
     With d the ``projection`` (without one, the coordinate of largest
     variance) and y = d'(z - mean) ~ N(0, d'Cov d), z given y is
     mean + beta y + c W with beta = Cov d / (d'Cov d), W standard normal and
-    c c' the residual covariance, of rank at most one (c is taken from its
-    largest eigenpair).  Coordinates with c_i != 0 bound W,
+    c c' the residual covariance: c = 0 at rank one, and at rank two c = F q
+    with F the component's ``factor`` and q the unit vector orthogonal to
+    F'd.  Coordinates with c_i != 0 bound W,
     so P(z <= t | y) is a normal interval probability; coordinates with
     c_i = 0 clip the range of y.  Since d'c = 0, g is evaluated at
     mean + beta y, which is exact when g reads z only through d'z.  The 1-D
     integral over y goes to ``_gauss_kronrod``, split where two bounds on W
     cross and at the given ``breakpoints`` (values of d'z).
     """
-    k = mean.size
-    # eigenvalues below this are roundoff of the covariance entries
+    mean, cov, k = comp.mean_shift, comp.covariance, comp.k
+    # variances below this are roundoff of the covariance entries
     noise = 64.0 * k * np.finfo(float).eps * max(float(np.trace(cov)), 0.0)
     d = np.eye(k)[int(np.argmax(np.diag(cov)))] if projection is None else projection
     var_y = float(d @ cov @ d)
@@ -472,14 +461,16 @@ def _conditioned_region_prob(
         if integrand is None:
             return _point_mass(mean, t, None)
         g = float(np.asarray(integrand(mean[None, :]), dtype=float)[0])
-        plain = _conditioned_region_prob(mean, cov, t, None, spec, None, ())
+        plain = _conditioned_region_prob(comp, t, None, spec, None, ())
         return QuadResult(g * plain.value, abs(g) * plain.err_est, plain.converged)
     sd = math.sqrt(var_y)
-    cov_d = cov @ d
-    beta = cov_d / var_y  # var_y beta beta' would overflow for a tiny d
-    w, v = np.linalg.eigh(cov - np.outer(cov_d, beta))
-    c = v[:, -1] * math.sqrt(max(float(w[-1]), 0.0))
-    c[c * c <= noise] = 0.0
+    beta = (cov @ d) / var_y
+    if comp.rank == 1:
+        c = np.zeros(k)
+    else:
+        a = comp.factor.T @ d
+        c = comp.factor @ (np.array([-a[1], a[0]]) / math.hypot(a[0], a[1]))
+        c[c * c <= noise] = 0.0
     room = t - mean  # coordinate i lies in the region when beta_i y + c_i W <= room_i
 
     y_lo, y_hi = -np.inf, np.inf
@@ -586,14 +577,16 @@ def gaussian_region_prob(
 ) -> QuadResult:
     """int_{z <= t} g(z) dPhi(z) for the Gaussian measure of ``comp``.
 
-    ``comp`` carries ``mean_shift`` (k,), ``covariance`` (k, k) and ``rank``;
-    the measure includes the mean shift.  ``integrand`` receives an (m, k)
+    ``comp`` carries ``mean_shift`` (k,), ``covariance`` (k, k), ``rank``
+    and ``factor`` (k, rank), as a ``GaussianComponent`` does; its rank picks
+    the path and is not decided again here.  The measure includes the mean
+    shift.  ``integrand`` receives an (m, k)
     batch of points and must return (m,) values; when absent the plain cdf of
     the region is computed.  ``projection`` (k,) states that the integrand
     reads z only through ``projection @ z``; ``breakpoints`` are values of
     that projection where the integrand jumps or kinks.
 
-    When the covariance has rank at most two (always when k <= 2) the
+    When the component has rank at most two (always when k <= 2) the
     integral is conditioned on that projection (without an integrand, or
     at rank one, on the coordinate of largest variance) and reduced to one
     deterministic 1-D integral, evaluated by the batched adaptive
@@ -602,9 +595,7 @@ def gaussian_region_prob(
     projection, it falls back to randomized QMC with a 3-sigma empirical
     error estimate.
     """
-    mean = np.atleast_1d(np.asarray(comp.mean_shift, dtype=float))
-    cov = np.atleast_2d(np.asarray(comp.covariance, dtype=float))
-    k = mean.size
+    mean, k = comp.mean_shift, comp.k
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != k:
         raise ValueError(f"t must have length {k}")
@@ -618,12 +609,8 @@ def gaussian_region_prob(
     if comp.rank == 1 or (
         comp.rank == 2 and (integrand is None or projection is not None)
     ):
-        return _conditioned_region_prob(mean, cov, t, integrand, spec, projection, breakpoints)
-    factor = rank_factor(cov)
-    if factor.shape[1] == 0:
-        # numerically rank zero despite comp.rank > 0: treat as point mass
-        return _point_mass(mean, t, integrand)
-    return _qmc_region_estimate(mean, factor, t, integrand, spec)
+        return _conditioned_region_prob(comp, t, integrand, spec, projection, breakpoints)
+    return _qmc_region_estimate(mean, comp.factor, t, integrand, spec)
 
 
 def _as_generator(stream) -> Generator:
@@ -650,15 +637,10 @@ def normals_from_stream(stream, shape) -> np.ndarray:
 def sample_gaussian(comp, count: int, stream) -> np.ndarray:
     """``count`` i.i.d. draws from the Gaussian measure of ``comp``.
 
-    Draws are ``mean + L w`` with L a rank factor of the covariance and w
-    standard normal from the given deterministic stream.
+    Draws are ``mean + F w`` with F the component's ``factor`` and w, of
+    length ``rank``, standard normal from the given deterministic stream.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    mean = np.atleast_1d(np.asarray(comp.mean_shift, dtype=float))
-    k = mean.size
-    if comp.rank == 0:
-        return np.tile(mean, (count, 1))
-    factor = rank_factor(np.atleast_2d(np.asarray(comp.covariance, dtype=float)))
-    w = normals_from_stream(stream, (count, factor.shape[1]))
-    return mean + w @ factor.T
+    w = normals_from_stream(stream, (count, comp.rank))
+    return comp.mean_shift + w @ comp.factor.T

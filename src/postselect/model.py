@@ -214,7 +214,9 @@ class GaussianComponent:
     ``mean_shift`` is the scaled bias of the order-p restricted fit mapped
     through the target transform; ``covariance`` is the (possibly singular)
     k x k covariance of the transform of the order-p fit; ``rank`` its
-    numerical rank (0 encodes a point mass at ``mean_shift``).
+    numerical rank (0 encodes a point mass at ``mean_shift``), decided by
+    whoever builds the component (``order_fit`` for the mixtures) and read,
+    never re-decided, by the kernels.
     """
 
     mean_shift: np.ndarray
@@ -237,6 +239,14 @@ class GaussianComponent:
     @property
     def k(self) -> int:
         return self.mean_shift.size
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """(k, rank) factor F with F F' = ``covariance``: its top ``rank``
+        eigenpairs, for ``rank`` as built; no eigenvalue threshold applies."""
+        w, v = np.linalg.eigh(0.5 * (self.covariance + self.covariance.T))
+        top = slice(self.k - self.rank, None)
+        return _readonly(v[:, top] * np.sqrt(np.maximum(w[top], 0.0)))
 
 
 def order_of(theta) -> int:

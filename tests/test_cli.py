@@ -143,10 +143,14 @@ class TestExitCodes:
             ("", "", ["--replications", "0"]),
             ("grid = -2:2:5", "grid = -1:1:1000001", []),
             ("", "", ["--grid=-1:1:100000000000"]),
+            ("seed = 99", f"seed = {2**128}", []),
+            ("", "", ["--seed", str(2**128)]),
+            ("seed = 99", "seed = 99\nmc_check = ture", []),
         ],
         ids=["c2_inf", "c2_nan", "sigma1_nan", "theta2_nan", "n_list_2", "n_list_7.5", "seed_neg",
              "grid_inf", "seed_flag_neg", "grid_flag_inf", "replications_flag_0",
-             "grid_count_cap", "grid_flag_count_cap"],
+             "grid_count_cap", "grid_flag_count_cap", "seed_2_128", "seed_flag_2_128",
+             "mc_check_typo"],
     )
     def test_invalid_value_is_exit_2(self, tmp_path, capsys, old, new, flags):
         text = TWO_REG.format(theta2="0.75", reps=10, grid="-2:2:5").replace(old, new, 1)
@@ -164,11 +168,12 @@ class TestExitCodes:
             ("two", "theta2 = 0.75", "theta2 = 0.0, x", "theta2"),
             ("general", "design_seed = 5", "design_seed = seven", "design_seed"),
             ("general", "design_seed = 5", "design_seed = -1", "design_seed"),
+            ("general", "design_seed = 5", f"design_seed = {2**128}", "design_seed"),
             ("general", "theta = 0.4, 0.0", "theta = 0.4, x", "theta"),
             ("general", "criticals = 2.0", "criticals = two", "criticals"),
         ],
         ids=["sigma1_text", "sigma2_text", "theta1_text", "theta2_text", "design_seed_text",
-             "design_seed_neg", "theta_text", "criticals_text"],
+             "design_seed_neg", "design_seed_2_128", "theta_text", "criticals_text"],
     )
     def test_malformed_model_field_is_exit_2(self, tmp_path, capsys, template, old, new, field):
         if template == "two":
@@ -267,6 +272,14 @@ class TestSelectionProbs:
             pi, freq = float(r[2]), float(r[3])
             assert abs(pi - freq) <= 3.0 * np.sqrt(pi * (1 - pi) / 100000)
 
+    @pytest.mark.parametrize("flag,has_mc", [("off", False), ("No", False), ("on", True)])
+    def test_mc_check_reads_boolean_spellings(self, tmp_path, flag, has_mc):
+        text = TWO_REG.format(theta2="0.75", reps=2000, grid="-2:2:5") + f"mc_check = {flag}\n"
+        out = tmp_path / "o"
+        assert main(["selection-probs", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        cols, _ = _read_table(out / "selection_probs.csv")
+        assert (cols[-1] == "mc_freq") is has_mc
+
     def test_general_design_scenario(self, tmp_path):
         out = tmp_path / "o"
         assert main(["selection-probs", "--config", _write(tmp_path, GENERAL), "--out", str(out)]) == 0
@@ -317,6 +330,14 @@ class TestSimulate:
         a = (out1 / "simulation.csv").read_text().splitlines()[2:]
         b = (out2 / "simulation.csv").read_text().splitlines()[2:]
         assert a != b
+
+    def test_largest_seeds_accepted(self, tmp_path):
+        # the largest Philox key, 2^128 - 1, seeds both the design and the draws
+        text = GENERAL.replace("design_seed = 5", f"design_seed = {2**128 - 1}")
+        cfg = _write(tmp_path, text.replace("replications = 20000", "replications = 100"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", str(2**128 - 1)]) == 0
+        assert (out / "simulation.csv").exists()
 
     def test_variant_flag_switches_selector(self, tmp_path):
         cfg = _write(tmp_path, TWO_REG.format(theta2="0.75", reps=40000, grid="-2:2:5"))

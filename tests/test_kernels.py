@@ -31,7 +31,6 @@ from postselect.kernels import (
     delta,
     gaussian_region_prob,
     normals_from_stream,
-    rank_factor,
     sample_gaussian,
 )
 from postselect.mixture import MixtureEngine
@@ -428,13 +427,12 @@ class TestGaussianRegionProb:
         assert all(np.all(z <= t) for z in seen)
         assert sum(len(z) for z in seen) < spec.qmc_initial
         # the estimate of evaluating g on every point and masking afterwards
-        factor = rank_factor(cov)
         per_batch = spec.qmc_initial // _QMC_BATCHES
         batch_means = []
         for b in range(_QMC_BATCHES):
             sob = qmc.Sobol(d=3, scramble=True, seed=np.random.default_rng(_QMC_ROOT_SEED + b))
             u = np.clip(sob.random(per_batch), 0.5**54, 1.0 - 0.5**54)
-            z = mean + ndtri(u) @ factor.T
+            z = mean + ndtri(u) @ comp.factor.T
             vals = np.where(np.all(z <= t, axis=1), g(z), 0.0)
             batch_means.append(vals.sum() / per_batch)
         assert abs(res.value - np.mean(batch_means)) <= 1e-15
@@ -565,13 +563,6 @@ class TestSampling:
         z = normals_from_stream(3, 200_000)
         d = stats.kstest(z, "norm").statistic
         assert d <= 1.63 / math.sqrt(z.size)
-
-    def test_rank_factor_reconstructs(self):
-        cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        L = rank_factor(cov)
-        assert np.allclose(L @ L.T, cov, atol=1e-12)
-        L1 = rank_factor(np.ones((3, 3)))
-        assert L1.shape == (3, 1)
 
 
 class TestQuadratureSpec:

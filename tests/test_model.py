@@ -230,6 +230,23 @@ class TestGaussianComponent:
         comp2 = ps.gaussian_component(d2, target, params, 2)
         assert comp2.covariance[0, 0] == pytest.approx(1.0 / (1 - 0.75**2), abs=1e-10)
 
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+    )
+    @example(3, 0, [0.0] * 9)  # rank 0: a point mass, a factor without columns
+    @example(3, 1, [1.0] * 9)  # ones((3, 3)) at rank 1
+    def test_factor_reconstructs_covariance(self, k, rank, entries):
+        # the covariance B B' of a k x rank matrix B has rank at most rank, so
+        # its top rank eigenpairs reproduce it up to roundoff
+        rank = min(rank, k)
+        B = np.reshape(entries, (3, 3))[:k, :rank]
+        cov = B @ B.T
+        factor = ps.GaussianComponent(np.zeros(k), cov, rank).factor
+        assert factor.shape == (k, rank)
+        assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
+
     def test_contained_parameter_has_no_shift(self):
         d = _design_with_gram(9, [[1.0, 0.4], [0.4, 1.0]])
         target = ps.TargetFunctional(np.array([[1.0, 0.0]]))
