@@ -35,7 +35,8 @@ from .model import (
     TargetFunctional,
     _checked_gram,
     _readonly,
-    scaled_omitted_bias,
+    order_operator,
+    order_shift,
 )
 
 __all__ = [
@@ -98,7 +99,8 @@ def limit_bias(limit: LimitParameter, p: int) -> np.ndarray:
     tail = limit.psi[p:]
     if np.any(np.isinf(tail)):
         raise ValueError(f"bias at order {p} undefined: divergent entries above p")
-    return scaled_omitted_bias(limit.factor, tail, p)
+    L, psi = limit.factor, np.where(np.arange(limit.P) < p, 0.0, limit.psi)
+    return order_shift(order_operator(L, np.eye(limit.P)), L.T @ psi, p)
 
 
 def limit_engine(
@@ -188,5 +190,7 @@ def recentered_cdf(
     if d.shape != params.theta.shape:
         raise ValueError("d must have the same length as theta")
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.shape != (target.k,):
+        raise ValueError(f"t must have length {target.k}")
     shifted = t + math.sqrt(design.n) * (target.A @ (d - params.theta))
     return finite_sample_engine(design, family, target, params, variant).cdf(shifted, spec)

@@ -27,8 +27,9 @@ imported on the first such integral, not with the package.
 
 A component's rank is decided once, by ``model.order_fit`` or by whoever
 builds the ``GaussianComponent``, and picks the path; no kernel decides it
-again.  The component's cached ``factor`` (its top ``rank`` eigenpairs) is
-the one factorization that region integrals and draws read.
+again.  The component's ``factor`` F (F F' = covariance, ``rank`` columns,
+from the SVD of the fit for the mixtures) is the one factorization that
+region integrals and draws read; none of them reads the covariance.
 
 All functions are pure; random use is confined to counter-based (Philox)
 streams so results are reproducible and safely parallelizable.
@@ -436,26 +437,27 @@ def _conditioned_region_prob(
     projection: np.ndarray | None,
     breakpoints,
 ) -> QuadResult:
-    """int_{z <= t} g(z) N(mean, Cov)(dz) for ``comp`` of rank one or two, by
-    conditioning.
+    """int_{z <= t} g(z) N(mean, F F')(dz) for ``comp`` of rank one or two,
+    with F its ``factor``, by conditioning.
 
     With d the ``projection`` (without one, the coordinate of largest
-    variance) and y = d'(z - mean) ~ N(0, d'Cov d), z given y is
-    mean + beta y + c W with beta = Cov d / (d'Cov d), W standard normal and
-    c c' the residual covariance: c = 0 at rank one, and at rank two c = F q
-    with F the component's ``factor`` and q the unit vector orthogonal to
-    F'd.  Coordinates with c_i != 0 bound W,
+    variance), a = F'd and y = d'(z - mean) ~ N(0, |a|^2), z given y is
+    mean + beta y + c W with beta = F a / |a|^2, W standard normal and c c'
+    the residual covariance: c = 0 at rank one, and at rank two c = F q with
+    q the unit vector orthogonal to a.  Coordinates with c_i != 0 bound W,
     so P(z <= t | y) is a normal interval probability; coordinates with
     c_i = 0 clip the range of y.  Since d'c = 0, g is evaluated at
     mean + beta y, which is exact when g reads z only through d'z.  The 1-D
     integral over y goes to ``_gauss_kronrod``, split where two bounds on W
     cross and at the given ``breakpoints`` (values of d'z).
     """
-    mean, cov, k = comp.mean_shift, comp.covariance, comp.k
+    mean, F, k = comp.mean_shift, comp.factor, comp.k
+    row_var = np.einsum("ij,ij->i", F, F)  # the diagonal of F F'
     # variances below this are roundoff of the covariance entries
-    noise = 64.0 * k * np.finfo(float).eps * max(float(np.trace(cov)), 0.0)
-    d = np.eye(k)[int(np.argmax(np.diag(cov)))] if projection is None else projection
-    var_y = float(d @ cov @ d)
+    noise = 64.0 * k * np.finfo(float).eps * float(row_var.sum())
+    d = np.eye(k)[int(np.argmax(row_var))] if projection is None else projection
+    a = F.T @ d
+    var_y = float(a @ a)
     if not var_y > noise * float(d @ d):
         # d'z is constant almost surely, and so is the integrand
         if integrand is None:
@@ -464,12 +466,11 @@ def _conditioned_region_prob(
         plain = _conditioned_region_prob(comp, t, None, spec, None, ())
         return QuadResult(g * plain.value, abs(g) * plain.err_est, plain.converged)
     sd = math.sqrt(var_y)
-    beta = (cov @ d) / var_y
+    beta = (F @ a) / var_y
     if comp.rank == 1:
         c = np.zeros(k)
     else:
-        a = comp.factor.T @ d
-        c = comp.factor @ (np.array([-a[1], a[0]]) / math.hypot(a[0], a[1]))
+        c = F @ (np.array([-a[1], a[0]]) / math.hypot(a[0], a[1]))
         c[c * c <= noise] = 0.0
     room = t - mean  # coordinate i lies in the region when beta_i y + c_i W <= room_i
 
@@ -577,10 +578,10 @@ def gaussian_region_prob(
 ) -> QuadResult:
     """int_{z <= t} g(z) dPhi(z) for the Gaussian measure of ``comp``.
 
-    ``comp`` carries ``mean_shift`` (k,), ``covariance`` (k, k), ``rank``
-    and ``factor`` (k, rank), as a ``GaussianComponent`` does; its rank picks
-    the path and is not decided again here.  The measure includes the mean
-    shift.  ``integrand`` receives an (m, k)
+    ``comp`` carries ``mean_shift`` (k,), ``rank`` and ``factor`` F
+    (k, rank), as a ``GaussianComponent`` does; the measure is
+    N(mean_shift, F F'), read through F alone, and its rank picks the path
+    and is not decided again here.  ``integrand`` receives an (m, k)
     batch of points and must return (m,) values; when absent the plain cdf of
     the region is computed.  ``projection`` (k,) states that the integrand
     reads z only through ``projection @ z``; ``breakpoints`` are values of

@@ -16,11 +16,11 @@ probabilities of the orders above.
 
 The engine takes the Cholesky factor L of a Gram matrix Q, sigma and a
 rescaled parameter psi, and derives p_star(psi) and, per order p from there,
-the bias b_p = scaled_omitted_bias(L, psi[p:], p), the test (sigma xi_p,
-center b_p[p-1] + psi_p, c_p) and, by ``model.order_fit``, the component
-(shift A b_p) and the regression (b, zeta).  The finite-sample case is psi =
-sqrt(n) theta, Q = X'X/n (b_p = sqrt(n) (eta(p) - theta)); the limit case is
-the limit psi and Q.
+from one vector m = L'psi the test (sigma xi_p, center m_{p-1} xi_p, c_p)
+and, with a target A, from one solve W = L^{-1} A' the component (shift
+``model.order_shift``, factor by ``model.order_fit``) and the regression (b,
+zeta).  The finite-sample case is psi = sqrt(n) theta, Q = X'X/n; the limit
+case is the limit psi and Q.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .model import (
     GaussianComponent,
     SelectionFamily,
     order_fit,
-    scaled_omitted_bias,
+    order_operator,
+    order_shift,
     xi_from_factor,
 )
 
@@ -130,18 +131,19 @@ class MixtureEngine:
         self.h_df = h_df
         # (test, component, b, zeta) per order from p_lo on; the test (sigma xi_p,
         # center, c_p) accepts when the scaled estimate lies within s c_p sigma
-        # xi_p of its center (None at p_lo); the rest is None without a target
+        # xi_p of its center (None at p_lo); the rest is None without a target.
+        # m[p_lo:] reads psi[p_lo:] only, which is finite
+        m = self.factor.T @ np.where(np.arange(self.P) < self.p_lo, 0.0, psi)
+        W = None if self.A is None else order_operator(self.factor, self.A)
         self._orders: dict[int, tuple] = {}
         for p in range(self.p_lo, self.P + 1):
-            # psi is finite above p_lo, so every bias from p_lo on is finite
-            bias = scaled_omitted_bias(self.factor, psi[p:], p)
             test = comp = b = zeta = None
             if p > self.p_lo:
-                center = float(bias[p - 1] + psi[p - 1])
-                test = (self.sigma * xi_from_factor(self.factor, p), center, family.critical(p))
-            if self.A is not None:
-                fit = order_fit(self.factor, self.A, p)
-                comp = fit.component(self.sigma, self.A @ bias)
+                xi_p = xi_from_factor(self.factor, p)
+                test = (self.sigma * xi_p, float(m[p - 1] * xi_p), family.critical(p))
+            if W is not None:
+                fit = order_fit(self.factor, self.A, W, p)
+                comp = fit.component(self.sigma, order_shift(W, m, p))
                 b, zeta = fit.b, math.sqrt(fit.zeta_sq)
             self._orders[p] = (test, comp, b, zeta)
         # the one lazily filled cache: a weights-only call reads one order's law

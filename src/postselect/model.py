@@ -4,16 +4,16 @@ The model is Y = X theta + u with u ~ N(0, sigma^2 I_n) and a fixed n x P
 design of full column rank.  Candidate models are nested by order: model p
 keeps the first p regressors.  Every deterministic quantity needed by the
 distribution formulas is a function of the scaled Gram matrix Q = X'X/n (plus
-n).  The helpers take its lower Cholesky factor L, whose leading blocks
-factor every Q[:p, :p]; the large-sample module reuses them verbatim with
-the factor of the limit matrix in place of that of X'X/n.  ``order_fit``
-gives all that a target transform makes of the order-p fit.
+n), and the large-sample module reuses the helpers with the limit matrix.
+With L the lower Cholesky factor of Q, all orders read one solve W = L^{-1} A'
+(``order_operator``; W[:p] maps the order-p fit through the target A) and
+one vector m = L'psi, whose tail ``order_shift`` maps to the mean shifts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,8 +37,7 @@ __all__ = [
     "OrderFit",
     "order_fit",
     "order_operator",
-    "mean_adjustment",
-    "scaled_omitted_bias",
+    "order_shift",
     "design_from_gram",
     "load_design_csv",
 ]
@@ -216,12 +215,16 @@ class GaussianComponent:
     k x k covariance of the transform of the order-p fit; ``rank`` its
     numerical rank (0 encodes a point mass at ``mean_shift``), decided by
     whoever builds the component (``order_fit`` for the mixtures) and read,
-    never re-decided, by the kernels.
+    never re-decided, by the kernels.  ``factor`` (k, rank), F F' =
+    ``covariance``, is the factorization the kernels read: the top ``rank``
+    eigenpairs, which must leave out no more than roundoff, or for the
+    mixtures the SVD factor of ``OrderFit``.
     """
 
     mean_shift: np.ndarray
     covariance: np.ndarray
     rank: int
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mean = np.atleast_1d(np.asarray(self.mean_shift, dtype=float))
@@ -233,20 +236,26 @@ class GaussianComponent:
             raise ValueError("covariance must be symmetric")
         if self.rank < 0 or self.rank > k:
             raise ValueError("rank out of range")
-        object.__setattr__(self, "mean_shift", _readonly(mean))
-        object.__setattr__(self, "covariance", _readonly(cov))
+        w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+        top = slice(k - self.rank, None)
+        if np.abs(w[:top.start]).sum() > 64.0 * k * np.finfo(float).eps * np.abs(w).sum():
+            raise ValueError(f"covariance has rank above {self.rank}")
+        self._freeze(mean, cov, v[:, top] * np.sqrt(np.maximum(w[top], 0.0)))
+
+    @classmethod
+    def _from_factor(cls, mean_shift, covariance, factor) -> "GaussianComponent":
+        comp = cls.__new__(cls)
+        comp._freeze(mean_shift, covariance, factor)
+        return comp
+
+    def _freeze(self, mean, cov, factor: np.ndarray) -> None:
+        for name, value in (("mean_shift", mean), ("covariance", cov), ("factor", factor)):
+            object.__setattr__(self, name, _readonly(value))
+        object.__setattr__(self, "rank", factor.shape[1])
 
     @property
     def k(self) -> int:
         return self.mean_shift.size
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """(k, rank) factor F with F F' = ``covariance``: its top ``rank``
-        eigenpairs, for ``rank`` as built; no eigenvalue threshold applies."""
-        w, v = np.linalg.eigh(0.5 * (self.covariance + self.covariance.T))
-        top = slice(self.k - self.rank, None)
-        return _readonly(v[:, top] * np.sqrt(np.maximum(w[top], 0.0)))
 
 
 def order_of(theta) -> int:
@@ -265,35 +274,22 @@ def gram_factor(gram: np.ndarray) -> np.ndarray:
         raise IllConditionedError("Gram matrix is not positive definite") from exc
 
 
-def mean_adjustment(L: np.ndarray, p: int) -> np.ndarray:
-    """p x (P-p) block Q[:p,:p]^{-1} Q[:p,p:] mapping excluded to included means.
+def order_operator(L: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """W = L^{-1} A' (P x k) for the k x P target A.  L is lower triangular,
+    so W[:p] = L[:p,:p]^{-1} A[:, :p]' maps the order-p fit through A."""
+    if A.shape[1] != L.shape[0]:
+        raise ValueError("target transform width inconsistent with design")
+    return solve_triangular(L, A.T, lower=True)
 
-    With Q = L L' this block is L[:p,:p]^{-T} L[p:,:p]'.
+
+def order_shift(W: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """A b_p = -W[p:]'m[p:], the scaled bias b_p of the order-p fit mapped
+    through A, for W = ``order_operator(L, A)`` and m = L'psi, the mean of
+    the rotated responses z = Q'y: the fit W[:p]'z[:p] has mean A psi + A b_p.
+    m[p:] reads psi[p:] only, so entries of psi below p may be zeroed.  With
+    A = I it is b_p = (Q[:p,:p]^{-1} Q[:p,p:] psi[p:], -psi[p:]).
     """
-    P = L.shape[0]
-    if p == 0 or p == P:
-        return np.zeros((p, P - p))
-    return solve_triangular(L[:p, :p], L[p:, :p].T, lower=True, trans="T")
-
-
-def scaled_omitted_bias(L: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
-    """Bias vector of the order-p fit induced by excluded components ``tail``.
-
-    Returns the length-P vector (Q[:p,:p]^{-1} Q[:p,p:] tail, -tail), with L
-    the Cholesky factor of Q.  Feeding tail = sqrt(n) * theta[p:] gives the
-    scaled finite-sample bias of the restricted fit; feeding the tail of a
-    limiting local parameter gives the large-sample bias.
-    """
-    P = L.shape[0]
-    tail = np.asarray(tail, dtype=float)
-    if tail.shape != (P - p,):
-        raise ValueError("tail must have length P - p")
-    out = np.zeros(P)
-    if p < P:
-        out[p:] = -tail
-        if p > 0:
-            out[:p] = mean_adjustment(L, p) @ tail
-    return out
+    return -(W[p:].T @ m[p:])
 
 
 def restricted_ls_mean(design: RegressionDesign, theta, p: int) -> np.ndarray:
@@ -308,9 +304,9 @@ def restricted_ls_mean(design: RegressionDesign, theta, p: int) -> np.ndarray:
         raise ValueError(f"theta must have length {P}")
     if not 0 <= p <= P:
         raise ValueError(f"order {p} outside [0, {P}]")
-    out = np.zeros(P)
-    if p > 0:
-        out[:p] = theta[:p] + mean_adjustment(design.factor, p) @ theta[p:]
+    L = design.factor
+    out = theta + order_shift(order_operator(L, np.eye(P)), L.T @ theta, p)
+    out[p:] = 0.0
     return out
 
 
@@ -327,47 +323,40 @@ def xi(design: RegressionDesign, p: int) -> float:
     return xi_from_factor(design.factor, p)
 
 
-def order_operator(L: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
-    """W = L[:p,:p]^{-1} A[:, :p]' (p x k), the operator of the order-p fit
-    mapped through the k x P target array A (``OrderFit``)."""
-    P = L.shape[0]
-    if A.shape[1] != P:
-        raise ValueError("target transform width inconsistent with design")
-    if not 0 <= p <= P:
-        raise ValueError(f"order {p} outside [0, {P}]")
-    return solve_triangular(L[:p, :p], A[:, :p].T, lower=True)
-
-
 class OrderFit(NamedTuple):
     """The order-p restricted fit mapped through a target A (``order_fit``).
 
-    For z ~ N(L'psi, sigma^2 I_P) the transformed fit is W'z[:p] (``W`` from
-    ``order_operator``) and its p-th coefficient v'z[:p], v = e_p / L[p-1,
-    p-1].  ``rank`` = rank(A[:, :p]) = rank(W), decided on A so that roundoff
-    in W adds no direction.  ``C`` = W'v is their covariance over sigma^2,
-    ``b`` = W^+ v the regression row of the coefficient on the fit, and
-    ``zeta_sq`` = xi_p^2 - b C the squared norm of the part of v orthogonal to
-    the columns of W (0 at rank p).  At p = 0: W is 0 x k, C and b zero.
+    For z ~ N(L'psi, sigma^2 I_P) the transformed fit is W'z[:p] (``W`` the
+    first p rows of ``order_operator``) and its p-th coefficient v'z[:p],
+    v = e_p / L[p-1, p-1].  ``rank`` = rank(A[:, :p]) = rank(W), decided on A
+    so that roundoff in W adds no direction.  ``F`` = V_r S_r from the SVD
+    W = U S V' factors W'W.  ``C`` = W'v is the covariance of fit and
+    coefficient over sigma^2, ``b`` = W^+ v the regression row of the
+    coefficient on the fit, and ``zeta_sq`` = xi_p^2 - b C the squared norm
+    of the part of v orthogonal to the columns of W (0 at rank p).  At p = 0:
+    W is 0 x k, F k x 0, C and b zero.
     """
 
     W: np.ndarray
     rank: int
+    F: np.ndarray
     C: np.ndarray
     b: np.ndarray
     zeta_sq: float
 
     def component(self, sigma: float, mean_shift) -> GaussianComponent:
-        """The transformed fit's component: covariance sigma^2 W'W about ``mean_shift``."""
+        """The transformed fit's component about ``mean_shift``: covariance
+        sigma^2 W'W, factor sigma F."""
         cov = sigma**2 * (self.W.T @ self.W)
-        return GaussianComponent(mean_shift, 0.5 * (cov + cov.T), self.rank)
+        return GaussianComponent._from_factor(mean_shift, 0.5 * (cov + cov.T), sigma * self.F)
 
 
-def order_fit(L: np.ndarray, A: np.ndarray, p: int) -> OrderFit:
-    """``OrderFit`` of order p: one solve for W, one SVD of W, one rank decision."""
-    W = order_operator(L, A, p)
+def order_fit(L: np.ndarray, A: np.ndarray, W: np.ndarray, p: int) -> OrderFit:
+    """``OrderFit`` of order p from W = ``order_operator(L, A)``: one SVD, one rank."""
+    W = W[:p]
     k = W.shape[1]
     if p == 0:
-        return OrderFit(W, 0, np.zeros(k), np.zeros(k), 0.0)
+        return OrderFit(W, 0, np.zeros((k, 0)), np.zeros(k), np.zeros(k), 0.0)
     v = xi_from_factor(L, p) * np.eye(p)[-1]
     r = _numerical_rank(A[:, :p])
     U, s, Vt = np.linalg.svd(W)
@@ -376,14 +365,15 @@ def order_fit(L: np.ndarray, A: np.ndarray, p: int) -> OrderFit:
     zeta_sq = float(coords[r:] @ coords[r:])
     if zeta_sq < _ZETA_REL_SNAP * float(v @ v):
         zeta_sq = 0.0
-    return OrderFit(W, r, W.T @ v, b, zeta_sq)
+    return OrderFit(W, r, Vt[:r].T * s[:r], W.T @ v, b, zeta_sq)
 
 
 def conditional_quantities(design: RegressionDesign, target: TargetFunctional, p: int):
     """(C, b, zeta_sq) of the order-p ``OrderFit``, 1 <= p <= P."""
     if p == 0:
         raise ValueError("order 0 has no tested coefficient")
-    fit = order_fit(design.factor, target.A, p)
+    L = design.factor
+    fit = order_fit(L, target.A, order_operator(L, target.A), p)
     return fit.C, fit.b, fit.zeta_sq
 
 
@@ -394,11 +384,13 @@ def gaussian_component(
     p: int,
 ) -> GaussianComponent:
     """Gaussian component of the order-p fit: scaled-bias mean shift and covariance."""
-    fit = order_fit(design.factor, target.A, p)
+    L, A = design.factor, target.A
+    W = order_operator(L, A)
+    fit = order_fit(L, A, W, p)
     if params.theta.shape != (design.P,):
         raise ValueError(f"theta must have length {design.P}")
     psi = math.sqrt(design.n) * params.theta
-    return fit.component(params.sigma, target.A @ scaled_omitted_bias(design.factor, psi[p:], p))
+    return fit.component(params.sigma, order_shift(W, L.T @ psi, p))
 
 
 def _integral_n(n) -> int:

@@ -12,12 +12,12 @@ psi = sqrt(n) theta and RSS ~ sigma^2 chi^2_{n-P}, so a replication draws
 those P + 1 numbers instead of n noise values: z = L'psi + sigma w from P
 standard normals w and, for the data-driven selector, the residual scale
 sigma sqrt(chi^2_{n-P} / (n - P)).  The order-p fit mapped through the
-target is W'z[:p], with W from ``model.order_operator`` (as in the engine's
-``model.OrderFit``).  Like ``finite_sample_engine``, the simulator reads a
+target is W[:p]'z[:p], with W from ``model.order_operator`` as in the
+engine.  Like ``finite_sample_engine``, the simulator reads a
 design only through (L, n), so a design given by its Gram matrix serves.
-The reports have the law of the procedure run on whole
-responses; ``TestSimulationStatistics.test_full_response_procedure_agrees_in_law``
-in ``tests/test_montecarlo.py`` keeps that procedure as the oracle.
+The reports have the law of the procedure run on whole responses;
+``TestSimulationStatistics.test_full_response_procedure_agrees_in_law`` in
+``tests/test_montecarlo.py`` keeps that procedure as the oracle.
 
 Draws come from a counter-based (Philox) stream: replications are laid out
 in fixed-size blocks, block b drawing from the b-th jumped substream (first
@@ -39,7 +39,7 @@ from numpy.random import Generator, Philox
 from .config import ConfigError
 from .model import (ParameterPoint, RegressionDesign, SelectionFamily, TargetFunctional,
                     order_operator)
-from .kernels import normals_from_stream
+from .kernels import _require_no_nan, normals_from_stream
 from .selection import _largest_admissible, _tratios
 
 __all__ = [
@@ -119,15 +119,13 @@ def simulate(
     if params.theta.size != design.P:
         raise ValueError("theta length inconsistent with design")
 
-    # the order-p draw is W'z[:p] - A psi, the restricted fit mapped through
-    # the target; maps stacks the k rows of each order's W', zero-padded to
-    # P columns (the order-0 fit is zero)
+    # the order-p draw is W[:p]'z[:p] - A psi, the restricted fit mapped
+    # through the target; maps stacks the k rows of each order's W[:p]',
+    # zero-padded to P columns (the order-0 fit is zero)
     n, P, L = design.n, design.P, design.factor
     psi = math.sqrt(n) * params.theta
-    maps = np.zeros((len(family.orders), target.k, P))
-    for i, p in enumerate(family.orders):
-        maps[i, :, :p] = order_operator(L, target.A, p).T
-    maps = maps.reshape(-1, P)
+    W = order_operator(L, target.A)
+    maps = np.concatenate([np.where(np.arange(P) < p, W.T, 0.0) for p in family.orders])
     mean, base = L.T @ psi, -(target.A @ psi)
 
     rows = _block_rows(P)
@@ -163,6 +161,9 @@ def simulate(
 def empirical_cdf(report: SimulationReport, t) -> float:
     """Fraction of draws componentwise <= t."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.shape != (report.k,):
+        raise ValueError(f"t must have length {report.k}")
+    _require_no_nan(t)
     return float(np.mean(np.all(report.draws <= t, axis=1)))
 
 

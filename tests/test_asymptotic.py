@@ -349,6 +349,12 @@ class TestRecentered:
         want = ps.cdf_unknown_variance(design, family, target, params, 0.2 + nu)
         assert got.value == pytest.approx(want.value, abs=1e-10)
 
+    def test_wrong_length_point_rejected(self):
+        # a scalar t must not be broadcast against the bivariate target
+        design, family, target, params = _general_design_problem()
+        with pytest.raises(ValueError, match="t must have length 2"):
+            ps.recentered_cdf(design, family, target, params, params.theta, 0.3)
+
     def test_divergent_centering_degenerates(self, classic_components):
         design, family, target, params = classic_components
         d = params.theta + np.array([100.0, 0.0])

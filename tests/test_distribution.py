@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate, stats
 
 import postselect as ps
+from postselect.config import synthetic_design
 from postselect.distribution import _two_regressor_density, finite_sample_engine
 
 from conftest import CLASSIC, PANEL_THETA2, classic_setting
@@ -389,12 +390,17 @@ class TestResultInvariants:
     @pytest.mark.parametrize(
         "entry",
         ["cdf_known_variance", "cdf_unknown_variance", "density_known_variance", "limit_cdf",
-         "weighted_conditional_cdf", "two_regressor_density"],
+         "weighted_conditional_cdf", "two_regressor_density", "recentered_cdf",
+         "empirical_cdf"],
     )
     def test_nan_argument_rejected(self, classic_components, entry):
         design, family, target, params = classic_components
         kwargs = {}
-        if entry == "limit_cdf":
+        if entry == "recentered_cdf":
+            args = (design, family, target, params, params.theta)
+        elif entry == "empirical_cdf":
+            args = (ps.simulate(design, family, target, params, 100, "known", seed=1),)
+        elif entry == "limit_cdf":
             limit = ps.LimitParameter(psi=np.array([np.inf, 2.0]), sigma=1.0, Q=design.gram)
             args = (limit, family, target)
         elif entry == "weighted_conditional_cdf":
@@ -449,3 +455,27 @@ class TestResultInvariants:
             emp = ps.empirical_cdf(rep, t)
             assert res.converged
             assert abs(res.value - emp) <= 3.0 * math.sqrt(0.25 / R) + res.err_est
+
+
+class TestNearlyDependentTarget:
+    """A second target row (1, eps, 0) next to (1, 0, 0): as eps -> 0 the
+    bivariate cdf at (0.3, 0.5) tends to the scalar cdf at 0.3, since the
+    second coordinate exceeds the first by more than 0.2 with vanishing
+    probability.  The order-2 and order-3 components are then nearly
+    singular, which a factor taken from the covariance W'W resolves only to
+    about eps / eps^2."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize(
+        "cdf", [ps.cdf_known_variance, ps.cdf_unknown_variance], ids=["known", "unknown"]
+    )
+    def test_bivariate_cdf_tends_to_scalar_cdf(self, cdf, eps):
+        design = synthetic_design(50, 3, 7)
+        family = ps.SelectionFamily(min_order=1, criticals=(2.0, 2.0))
+        params = ps.ParameterPoint(theta=np.array([0.5, 0.1, 0.0]), sigma=1.0)
+        scalar = ps.TargetFunctional(np.array([[1.0, 0.0, 0.0]]))
+        pair = ps.TargetFunctional(np.array([[1.0, 0.0, 0.0], [1.0, eps, 0.0]]))
+        want = cdf(design, family, scalar, params, 0.3)
+        got = cdf(design, family, pair, params, np.array([0.3, 0.5]))
+        assert want.converged and got.converged
+        assert abs(got.value - want.value) <= got.err_est

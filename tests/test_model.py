@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import postselect as ps
+from postselect import model
+from postselect.config import synthetic_design
 from postselect.model import (
     IllConditionedError,
     design_from_gram,
     gram_factor,
-    mean_adjustment,
     order_fit,
-    scaled_omitted_bias,
+    order_operator,
+    order_shift,
     xi_from_factor,
 )
 
@@ -171,7 +173,7 @@ class TestConditionalQuantities:
         A = rng.standard_normal((k, P))
         p = int(rng.integers(1, P + 1))
         L = gram_factor(gram)
-        zeta_sq = order_fit(L, A, p).zeta_sq
+        zeta_sq = order_fit(L, A, order_operator(L, A), p).zeta_sq
         assert 0.0 <= zeta_sq <= xi_from_factor(L, p) ** 2 + 1e-10
         if k == p:
             assert zeta_sq == 0.0
@@ -187,7 +189,8 @@ class TestConditionalQuantities:
         base = rng.standard_normal((P + 3, P))
         gram = base.T @ base / (P + 3) + 0.5 * np.eye(P)
         A = rng.standard_normal((k, P))
-        C = order_fit(gram_factor(gram), A, p).C
+        L = gram_factor(gram)
+        C = order_fit(L, A, order_operator(L, A), p).C
         Ap = A[:, :p]
         chol = np.linalg.inv(gram[:p, :p])
         M = Ap @ chol @ Ap.T
@@ -247,6 +250,17 @@ class TestGaussianComponent:
         assert factor.shape == (k, rank)
         assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "cov, rank",
+        [(np.eye(2), 1), (np.eye(2), 0), (np.diag([1.0, 1e-6, 1.0]), 2)],
+        ids=["eye2_rank1", "eye2_rank0", "small_eigenvalue_dropped"],
+    )
+    def test_rank_below_covariance_rejected(self, cov, rank):
+        # the factor of the top rank eigenpairs would leave covariance out:
+        # N(0, I2) at rank 1 integrated to 0.5 over the negative quadrant
+        with pytest.raises(ValueError, match="covariance has rank above"):
+            ps.GaussianComponent(np.zeros(len(cov)), cov, rank)
+
     def test_contained_parameter_has_no_shift(self):
         d = _design_with_gram(9, [[1.0, 0.4], [0.4, 1.0]])
         target = ps.TargetFunctional(np.array([[1.0, 0.0]]))
@@ -256,19 +270,66 @@ class TestGaussianComponent:
 
 
 class TestGramHelpers:
-    def test_mean_adjustment_shapes(self):
-        gram = np.eye(3) + 0.2
-        assert mean_adjustment(gram_factor(gram), 0).shape == (0, 3)
-        assert mean_adjustment(gram_factor(gram), 3).shape == (3, 0)
-
-    def test_scaled_omitted_bias_identity_gram(self):
-        out = scaled_omitted_bias(gram_factor(np.eye(3)), np.array([2.0, -1.0]), 1)
+    def test_order_shift_identity_gram(self):
+        # with A = I the shift is the bias b_1 = (0, -psi[1:]), whatever psi[0]
+        L = gram_factor(np.eye(3))
+        out = order_shift(order_operator(L, np.eye(3)), L.T @ np.array([5.0, 2.0, -1.0]), 1)
         assert out == pytest.approx([0.0, -2.0, 1.0])
 
     def test_singular_block_raises(self):
         gram = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(IllConditionedError):
             gram_factor(gram)
+
+
+class TestWorkPerEvaluation:
+    """Every order reads one triangular solve W = L^{-1} A' and one vector
+    m = L'psi, and each component its factor from the SVD of its fit."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"solve": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "solve_triangular", counted("solve", model.solve_triangular))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        return counts
+
+    @staticmethod
+    def _p10_problem():
+        design = synthetic_design(200, 10, 7)
+        family = ps.SelectionFamily(min_order=1, criticals=(1.96,) * 9)
+        target = ps.TargetFunctional(np.eye(10)[:2])
+        params = ps.ParameterPoint(theta=np.array([1.0, 0.15, 0, 0, 0.1, 0, 0, 0, 0, 0]),
+                                   sigma=1.0)
+        return design, family, target, params
+
+    def test_known_cdf_makes_one_solve(self, counts):
+        design, family, target, params = self._p10_problem()
+        res = ps.cdf_known_variance(design, family, target, params, np.array([0.2, -0.1]))
+        assert 0.0 < res.value < 1.0
+        assert counts == {"solve": 1, "eigh": 0}
+
+    def test_selection_probability_makes_no_solve(self, counts):
+        design, family, _, params = self._p10_problem()
+        ps.selection_prob_known(design, family, params, 3)
+        assert counts == {"solve": 0, "eigh": 0}
+
+    def test_simulate_makes_one_solve(self, counts):
+        design, family, target, params = self._p10_problem()
+        ps.simulate(design, family, target, params, 100, "known", seed=1)
+        assert counts == {"solve": 1, "eigh": 0}
+
+    def test_gaussian_component_makes_one_solve(self, counts):
+        design, _, target, params = self._p10_problem()
+        comp = ps.gaussian_component(design, target, params, 4)
+        assert comp.factor.shape == (2, 2)
+        assert counts == {"solve": 1, "eigh": 0}
 
 
 class TestDesignConstruction:

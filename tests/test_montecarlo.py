@@ -243,6 +243,13 @@ class TestEmpiricalCdf:
         assert ps.empirical_cdf(rep, 0.0) == 1.0
 
 
+    def test_short_point_rejected(self):
+        # a scalar t must not be broadcast against bivariate draws
+        rep = ps.SimulationReport(draws=np.zeros((5, 2)), selected=np.ones(5, dtype=int), seed=0)
+        with pytest.raises(ValueError, match="t must have length 2"):
+            ps.empirical_cdf(rep, 0.3)
+
+
 class TestKsDistance:
     def test_self_distance_zero(self, classic_components):
         design, family, target, params = classic_components
