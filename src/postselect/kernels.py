@@ -15,15 +15,18 @@ the smoothed weight and its antiderivative, plus a 64-node Gauss-Legendre
 rule across the window in which a rejection probability moves from 1 to 0.
 Against the point mass it is the integrand at s = 1, exactly.
 
-Region integrals of Gaussians of rank at most two (every one- or
-two-dimensional target) condition on the one projection the integrand
-reads: given it, the region probability of the rest is a closed-form normal
-interval probability, so each integral is one deterministic 1-D integral,
-evaluated by a batched, globally adaptive Gauss-Kronrod rule that calls the
-integrand once per pass on the nodes of every open subinterval.  Randomized
-quasi-Monte Carlo serves only rank three or more, or a rank-two integrand
-given without its projection; ``scipy.stats`` (for its Sobol sequences) is
-imported on the first such integral, not with the package.
+Region integrals take the component as z = mean + F w, w standard normal,
+and an integrand of the one value y = a'w, with a given in the factor's
+coordinates (the mixtures take a from ``model.order_fit``; the public
+``gaussian_region_prob`` computes it from a projection, which it requires
+with an integrand at rank two or more).  At rank at most two (every one- or
+two-dimensional target) the integral conditions on y: given it, the region
+probability of the rest is a closed-form normal interval probability, so
+each integral is one deterministic 1-D integral, evaluated by a batched,
+globally adaptive Gauss-Kronrod rule that calls the integrand once per pass
+on the nodes of every open subinterval.  Randomized quasi-Monte Carlo serves
+rank three or more; ``scipy.stats`` (for its Sobol sequences) is imported on
+the first such integral, not with the package.
 
 A component's rank is decided once, by ``model.order_fit`` or by whoever
 builds the ``GaussianComponent``, and picks the path; no kernel decides it
@@ -58,7 +61,6 @@ __all__ = [
     "ScaleSmoother",
     "PointScale",
     "gaussian_region_prob",
-    "gaussian_density",
     "sample_gaussian",
     "normals_from_stream",
 ]
@@ -143,8 +145,7 @@ class QuadratureSpec:
     error estimate is within ``abs_tol`` and those nodes fit within
     ``max_nodes``.  The ``qmc_*`` fields apply only to region
     integrals of Gaussians of rank three or more in three or more
-    dimensions (or of rank two with an integrand given without its
-    projection), which use randomized quasi-Monte Carlo: start
+    dimensions, which use randomized quasi-Monte Carlo: start
     at ``qmc_initial`` points and double until the error estimate drops
     below ``qmc_tol`` or ``qmc_max`` is reached.
     """
@@ -172,6 +173,15 @@ def _require_no_nan(t) -> None:
     """Raise ``ValueError`` when the evaluation point ``t`` has a NaN entry."""
     if np.isnan(np.asarray(t, dtype=float)).any():
         raise ValueError("evaluation point t must not be NaN")
+
+
+def _as_point(t, k: int) -> np.ndarray:
+    """``t`` as a float array of length k; ``ValueError`` on another length or a NaN."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.size != k:
+        raise ValueError(f"t must have length {k}")
+    _require_no_nan(t)
+    return t
 
 
 def norm_pdf(x):
@@ -335,27 +345,6 @@ class PointScale:
         return True
 
 
-def gaussian_density(mean: np.ndarray, cov: np.ndarray, z) -> float:
-    """Density of N(mean, cov) at z.  Requires nonsingular cov."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    k = mean.size
-    x = z - mean
-    if k == 1:
-        v = cov[0, 0]
-        if v <= 0.0:
-            raise ValueError("degenerate covariance: density undefined")
-        return float(norm_pdf(x[0] / math.sqrt(v)) / math.sqrt(v))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate covariance: density undefined") from exc
-    y = np.linalg.solve(chol, x)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(np.exp(-0.5 * (y @ y) - 0.5 * logdet - 0.5 * k * math.log(2.0 * math.pi)))
-
-
 def _gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -420,58 +409,52 @@ def _normal_interval(lo, hi):
     return np.maximum(out, 0.0)
 
 
-def _point_mass(mean: np.ndarray, t: np.ndarray, integrand) -> QuadResult:
-    """The region integral of a point mass at ``mean``."""
-    if np.any(mean > t):
-        return QuadResult(0.0, 0.0, True)
-    if integrand is None:
-        return QuadResult(1.0, 0.0, True)
-    return QuadResult(float(np.asarray(integrand(mean[None, :]), dtype=float)[0]), 0.0, True)
-
-
-def _conditioned_region_prob(
+def _region_integral(
     comp,
     t: np.ndarray,
-    integrand: Callable[[np.ndarray], np.ndarray] | None,
+    g: Callable[[np.ndarray], np.ndarray] | None,
+    a: np.ndarray | None,
     spec: QuadratureSpec,
-    projection: np.ndarray | None,
-    breakpoints,
+    breakpoints=(),
 ) -> QuadResult:
-    """int_{z <= t} g(z) N(mean, F F')(dz) for ``comp`` of rank one or two,
-    with F its ``factor``, by conditioning.
+    """int_{z <= t} g(a'w) N(0, I)(dw) over z = mean + F w, with mean the
+    ``mean_shift`` of ``comp`` and F (k, rank) its ``factor``.
 
-    With d the ``projection`` (without one, the coordinate of largest
-    variance), a = F'd and y = d'(z - mean) ~ N(0, |a|^2), z given y is
-    mean + beta y + c W with beta = F a / |a|^2, W standard normal and c c'
-    the residual covariance: c = 0 at rank one, and at rank two c = F q with
-    q the unit vector orthogonal to a.  Coordinates with c_i != 0 bound W,
-    so P(z <= t | y) is a normal interval probability; coordinates with
-    c_i = 0 clip the range of y.  Since d'c = 0, g is evaluated at
-    mean + beta y, which is exact when g reads z only through d'z.  The 1-D
+    ``g`` maps an array of values of y = a'w to an array of factors
+    (None: g = 1), ``a`` (rank,) is the direction of y in the factor's
+    coordinates and ``breakpoints`` are values of y at which g jumps or
+    kinks.  With a = 0, y = 0 and g is the constant g(0).  Otherwise the
+    rank alone picks the path: a point mass at rank zero, randomized QMC at
+    rank three or more, and else conditioning on y (without g, a = F'e_i for
+    the coordinate i of largest variance).  Given y ~ N(0, |a|^2), z is
+    mean + beta y + c W with beta = F a / |a|^2, W standard normal and c = 0
+    at rank one, c = F q at rank two with q the unit vector orthogonal to a.
+    Coordinates with c_i != 0 bound W, so P(z <= t | y) is a normal interval
+    probability; coordinates with c_i = 0 clip the range of y.  The 1-D
     integral over y goes to ``_gauss_kronrod``, split where two bounds on W
-    cross and at the given ``breakpoints`` (values of d'z).
+    cross and at the ``breakpoints``.
     """
     mean, F, k = comp.mean_shift, comp.factor, comp.k
+    if g is not None and not a.any():
+        g0 = float(g(np.zeros(1))[0])
+        plain = _region_integral(comp, t, None, None, spec)
+        return QuadResult(g0 * plain.value, abs(g0) * plain.err_est, plain.converged)
+    if comp.rank == 0:
+        return QuadResult(float(np.all(mean <= t)), 0.0, True)
+    if comp.rank >= 3:
+        return _qmc_region_estimate(mean, F, t, g, a, spec)
     row_var = np.einsum("ij,ij->i", F, F)  # the diagonal of F F'
-    # variances below this are roundoff of the covariance entries
-    noise = 64.0 * k * np.finfo(float).eps * float(row_var.sum())
-    d = np.eye(k)[int(np.argmax(row_var))] if projection is None else projection
-    a = F.T @ d
+    if g is None:
+        a = F[int(np.argmax(row_var))]
     var_y = float(a @ a)
-    if not var_y > noise * float(d @ d):
-        # d'z is constant almost surely, and so is the integrand
-        if integrand is None:
-            return _point_mass(mean, t, None)
-        g = float(np.asarray(integrand(mean[None, :]), dtype=float)[0])
-        plain = _conditioned_region_prob(comp, t, None, spec, None, ())
-        return QuadResult(g * plain.value, abs(g) * plain.err_est, plain.converged)
     sd = math.sqrt(var_y)
     beta = (F @ a) / var_y
     if comp.rank == 1:
         c = np.zeros(k)
     else:
         c = F @ (np.array([-a[1], a[0]]) / math.hypot(a[0], a[1]))
-        c[c * c <= noise] = 0.0
+        # variances below this are roundoff of the covariance entries
+        c[c * c <= 64.0 * k * np.finfo(float).eps * float(row_var.sum())] = 0.0
     room = t - mean  # coordinate i lies in the region when beta_i y + c_i W <= room_i
 
     y_lo, y_hi = -np.inf, np.inf
@@ -483,14 +466,14 @@ def _conditioned_region_prob(
         elif room[i] < 0.0:
             return QuadResult(0.0, 0.0, True)
     bounded = np.flatnonzero(c)
-    if integrand is None and bounded.size == 0:
+    if g is None and bounded.size == 0:
         return QuadResult(float(_normal_interval(y_lo / sd, y_hi / sd)), 1e-15, True)
 
     span = -sd * ndtri(_GAUSS_TAIL_Q)
     y_lo, y_hi = max(y_lo, -span), min(y_hi, span)
     if not y_hi > y_lo:
         return QuadResult(0.0, 2.0 * _GAUSS_TAIL_Q, True)
-    knots = [float(bp) - float(d @ mean) for bp in breakpoints]
+    knots = [float(bp) for bp in breakpoints]
     for i, j in itertools.combinations(bounded, 2):
         # where the bounds of coordinates i and j on W cross, the binding one switches
         slope = beta[j] * c[i] - beta[i] * c[j]
@@ -507,9 +490,7 @@ def _conditioned_region_prob(
             else:
                 w_lo = np.maximum(w_lo, bound)
         out = _normal_interval(w_lo, w_hi) * norm_pdf(y / sd) / sd
-        if integrand is not None:
-            out = out * np.asarray(integrand(mean + y[:, None] * beta), dtype=float)
-        return out
+        return out if g is None else out * g(y)
 
     res = _gauss_kronrod(f, y_lo, y_hi, spec, knots)
     return QuadResult(res.value, res.err_est + 2.0 * _GAUSS_TAIL_Q, res.converged)
@@ -519,14 +500,15 @@ def _qmc_region_estimate(
     mean: np.ndarray,
     factor: np.ndarray,
     t: np.ndarray,
-    integrand: Callable[[np.ndarray], np.ndarray] | None,
+    g: Callable[[np.ndarray], np.ndarray] | None,
+    a: np.ndarray | None,
     spec: QuadratureSpec,
 ) -> QuadResult:
-    """Randomized-QMC estimate of int_{z <= t} g(z) N(mean, L L')(dz).
+    """Randomized-QMC estimate of ``_region_integral`` (z = mean + F w).
 
     Uses ``_QMC_BATCHES`` independently scrambled Sobol sequences; the spread
     of the batch means gives the (3 sigma) error estimate.  Deterministic:
-    scramble seeds are fixed.  The integrand is evaluated only on points
+    scramble seeds are fixed.  g is evaluated only at the a'w of points
     inside the region.
     """
     # imported here, not at module level: scipy.stats costs about 0.5 s and
@@ -546,12 +528,11 @@ def _qmc_region_estimate(
     def extend(per_batch: int) -> None:
         nonlocal n_total
         for b, sob in enumerate(sobols):
-            u = np.clip(sob.random(per_batch), tiny, 1.0 - tiny)
-            z = mean + ndtri(u) @ factor.T
-            inside = np.all(z <= t, axis=1)
+            w = ndtri(np.clip(sob.random(per_batch), tiny, 1.0 - tiny))
+            inside = np.all(mean + w @ factor.T <= t, axis=1)
             vals = inside.astype(float)
-            if integrand is not None and inside.any():
-                vals[inside] = np.asarray(integrand(z[inside]), dtype=float)
+            if g is not None and inside.any():
+                vals[inside] = g(w[inside] @ a)
             sums[b] += vals.sum()
             counts[b] += per_batch
         n_total += _QMC_BATCHES * per_batch
@@ -580,38 +561,44 @@ def gaussian_region_prob(
 
     ``comp`` carries ``mean_shift`` (k,), ``rank`` and ``factor`` F
     (k, rank), as a ``GaussianComponent`` does; the measure is
-    N(mean_shift, F F'), read through F alone, and its rank picks the path
-    and is not decided again here.  ``integrand`` receives an (m, k)
-    batch of points and must return (m,) values; when absent the plain cdf of
-    the region is computed.  ``projection`` (k,) states that the integrand
-    reads z only through ``projection @ z``; ``breakpoints`` are values of
-    that projection where the integrand jumps or kinks.
+    N(mean_shift, F F'), read through F alone, and its rank picks the path.
+    ``integrand`` receives an (m, k) batch of points and must return (m,)
+    values; when absent the plain cdf of the region is computed.
+    ``projection`` d (k,) states that the integrand reads z only through
+    d'z, and is required with an integrand at rank two or more (at rank one
+    it defaults to the coordinate of largest variance); ``breakpoints`` are
+    values of d'z where the integrand jumps or kinks.  The integrand is
+    evaluated at points mean + beta y that carry y = d'(z - mean), a
+    constant when its variance is roundoff.
 
-    When the component has rank at most two (always when k <= 2) the
-    integral is conditioned on that projection (without an integrand, or
-    at rank one, on the coordinate of largest variance) and reduced to one
-    deterministic 1-D integral, evaluated by the batched adaptive
-    Gauss-Kronrod rule, or in closed form when nothing is left to
-    integrate.  At rank three or more, or rank two with an integrand but no
-    projection, it falls back to randomized QMC with a 3-sigma empirical
-    error estimate.
+    At rank at most two (always when k <= 2) the integral is one
+    deterministic 1-D integral over y (without an integrand, over the
+    coordinate of largest variance) by the batched adaptive Gauss-Kronrod
+    rule, or a closed form; at rank three or more it is randomized QMC with
+    a 3-sigma empirical error estimate.
     """
-    mean, k = comp.mean_shift, comp.k
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.size != k:
-        raise ValueError(f"t must have length {k}")
-    _require_no_nan(t)
-    if comp.rank == 0:
-        return _point_mass(mean, t, integrand)
-    if projection is not None:
-        projection = np.atleast_1d(np.asarray(projection, dtype=float))
-        if projection.size != k:
-            raise ValueError(f"projection must have length {k}")
-    if comp.rank == 1 or (
-        comp.rank == 2 and (integrand is None or projection is not None)
-    ):
-        return _conditioned_region_prob(comp, t, integrand, spec, projection, breakpoints)
-    return _qmc_region_estimate(mean, comp.factor, t, integrand, spec)
+    mean, F, k = comp.mean_shift, comp.factor, comp.k
+    t = _as_point(t, k)
+    if integrand is None:
+        return _region_integral(comp, t, None, None, spec)
+    row_var = np.einsum("ij,ij->i", F, F)
+    if projection is None:
+        if comp.rank >= 2:
+            raise ValueError("an integrand at rank two or more needs its projection")
+        projection = np.eye(k)[int(np.argmax(row_var))]
+    d = np.atleast_1d(np.asarray(projection, dtype=float))
+    if d.size != k:
+        raise ValueError(f"projection must have length {k}")
+    a = F.T @ d
+    # variances below this are roundoff of the covariance entries
+    if not a @ a > 64.0 * k * np.finfo(float).eps * float(row_var.sum()) * float(d @ d):
+        a = np.zeros_like(a)
+    beta = (F @ a) / float(a @ a) if a.any() else np.zeros(k)
+
+    def g(y: np.ndarray) -> np.ndarray:
+        return np.asarray(integrand(mean + y[:, None] * beta), dtype=float)
+
+    return _region_integral(comp, t, g, a, spec, np.asarray(breakpoints, float) - d @ mean)
 
 
 def _as_generator(stream) -> Generator:

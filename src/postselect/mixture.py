@@ -18,9 +18,12 @@ The engine takes the Cholesky factor L of a Gram matrix Q, sigma and a
 rescaled parameter psi, and derives p_star(psi) and, per order p from there,
 from one vector m = L'psi the test (sigma xi_p, center m_{p-1} xi_p, c_p)
 and, with a target A, from one solve W = L^{-1} A' the component (shift
-``model.order_shift``, factor by ``model.order_fit``) and the regression (b,
-zeta).  The finite-sample case is psi = sqrt(n) theta, Q = X'X/n; the limit
-case is the limit psi and Q.
+``model.order_shift``, factor F by ``model.order_fit``) and how the tested
+coefficient loads on it: for z = shift + F w the coefficient is its center
+plus sigma (a'w + zeta Z), with a and zeta from the fit.  Region integrals
+read y = sigma a'w and densities read F; nothing is factorized again.  The
+finite-sample case is psi = sqrt(n) theta, Q = X'X/n; the limit case is the
+limit psi and Q.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ from .kernels import (
     QuadResult,
     QuadratureSpec,
     ScaleSmoother,
-    _require_no_nan,
+    _as_point,
+    _region_integral,
     delta,
-    gaussian_density,
-    gaussian_region_prob,
 )
 from .model import (
     GaussianComponent,
@@ -129,7 +131,7 @@ class MixtureEngine:
         if h_df is not None and h_df < 1:
             raise ValueError("h_df must be >= 1")
         self.h_df = h_df
-        # (test, component, b, zeta) per order from p_lo on; the test (sigma xi_p,
+        # (test, component, fit) per order from p_lo on; the test (sigma xi_p,
         # center, c_p) accepts when the scaled estimate lies within s c_p sigma
         # xi_p of its center (None at p_lo); the rest is None without a target.
         # m[p_lo:] reads psi[p_lo:] only, which is finite
@@ -137,15 +139,14 @@ class MixtureEngine:
         W = None if self.A is None else order_operator(self.factor, self.A)
         self._orders: dict[int, tuple] = {}
         for p in range(self.p_lo, self.P + 1):
-            test = comp = b = zeta = None
+            test = comp = fit = None
             if p > self.p_lo:
                 xi_p = xi_from_factor(self.factor, p)
                 test = (self.sigma * xi_p, float(m[p - 1] * xi_p), family.critical(p))
             if W is not None:
                 fit = order_fit(self.factor, self.A, W, p)
                 comp = fit.component(self.sigma, order_shift(W, m, p))
-                b, zeta = fit.b, math.sqrt(fit.zeta_sq)
-            self._orders[p] = (test, comp, b, zeta)
+            self._orders[p] = (test, comp, fit)
         # the one lazily filled cache: a weights-only call reads one order's law
         self._smoothers: dict[int, ScaleSmoother | PointScale] = {}
 
@@ -200,34 +201,29 @@ class MixtureEngine:
     def term_cdf(self, p: int, t, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
         """Weighted contribution of order p to the cdf at t."""
         comp = self.component(p)
+        t = _as_point(t, comp.k)
         if p == self.p_lo:
             w = self.weight(p, spec)
-            base = gaussian_region_prob(comp, t, None, spec)
+            base = _region_integral(comp, t, None, None, spec)
             return QuadResult(
                 base.value * w.value,
                 base.err_est + w.err_est,
                 base.converged and w.converged,
             )
 
-        (d, center, c), _, b, zeta = self._orders[p]
-        shift = comp.mean_shift
-        # The integrand reads z only through u = b'z - b'shift + center, and
-        # varies fast only in windows of half-width 9 sigma zeta around the
-        # edges of the scale law (|u| = c_p sigma xi_p at known scale, u = 0
-        # when data driven).  At zeta = 0 the windows close to a jump or a
-        # kink.  The window edges are the breakpoints of the outer rule.
+        (d, center, c), _, fit = self._orders[p]
+        # The integrand reads the tested coefficient u = center + y + sigma
+        # zeta Z, y = sigma a'w, through y alone, and varies fast only in
+        # windows of half-width 9 sigma zeta around the edges of the scale law
+        # (|u| = c_p sigma xi_p at known scale, u = 0 when data driven); at
+        # zeta = 0 they close to a jump or a kink.  Their edges, as values of
+        # y, are the breakpoints of the outer rule.
         smoother = self.smoother(p)
-        offset = float(b @ shift) - center
-        reach = _WINDOW * self.sigma * zeta
-
-        def integrand(zb: np.ndarray) -> np.ndarray:
-            return self._smoothed_reject(p, (zb - shift) @ b + center, self.sigma * zeta)
-
-        outer = gaussian_region_prob(
-            comp, t, integrand, spec, projection=b,
-            breakpoints=[
-                offset + e + r for e in smoother.edges(c * d) for r in (-reach, reach)
-            ],
+        v = self.sigma * math.sqrt(fit.zeta_sq)
+        reach = _WINDOW * v
+        outer = _region_integral(
+            comp, t, lambda y: self._smoothed_reject(p, y + center, v), self.sigma * fit.a,
+            spec, [e - center + r for e in smoother.edges(c * d) for r in (-reach, reach)],
         )
         return QuadResult(
             outer.value, outer.err_est + smoother.err_est,
@@ -239,14 +235,20 @@ class MixtureEngine:
     def term_density(self, p: int, t, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
         """Weighted contribution of order p to the density at t."""
         comp = self.component(p)
-        pdf = gaussian_density(comp.mean_shift, comp.covariance, t)
+        t = _as_point(t, comp.k)
+        if comp.rank < comp.k:
+            raise ValueError("degenerate covariance: density undefined")
+        # F's columns are orthogonal, so t = shift + F w solves to w = F'x / |F_j|^2
+        F = comp.factor
+        col_sq = np.einsum("ij,ij->j", F, F)
+        w = (t - comp.mean_shift) @ F / col_sq
+        pdf = float(np.exp(-0.5 * (w @ w)) / np.prod(np.sqrt(2.0 * math.pi * col_sq)))
         if p == self.p_lo:
-            w = self.weight(p, spec)
-            return QuadResult(pdf * w.value, pdf * w.err_est, w.converged)
-        (_, center, _), _, b, zeta = self._orders[p]
-        x = np.atleast_1d(np.asarray(t, dtype=float)) - comp.mean_shift
-        u = float(x @ b) + center
-        val = float(self._smoothed_reject(p, u, self.sigma * zeta))
+            wt = self.weight(p, spec)
+            return QuadResult(pdf * wt.value, pdf * wt.err_est, wt.converged)
+        (_, center, _), _, fit = self._orders[p]
+        u = self.sigma * float(fit.a @ w) + center
+        val = float(self._smoothed_reject(p, u, self.sigma * math.sqrt(fit.zeta_sq)))
         smoother = self.smoother(p)
         return QuadResult(val * pdf, smoother.err_est * pdf, smoother.converged(spec))
 
@@ -254,9 +256,6 @@ class MixtureEngine:
 
     def _assemble(self, term, t, spec: QuadratureSpec, clip_unit: bool) -> DistributionResult:
         """Sum ``term(p, t, spec)`` over the candidate orders."""
-        _require_no_nan(t)
-        if self.A is not None and np.size(t) != self.A.shape[0]:
-            raise ValueError(f"t must have length {self.A.shape[0]}")
         terms = np.zeros(self.P - self.family.min_order + 1)
         err = 0.0
         ok = True

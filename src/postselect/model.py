@@ -45,9 +45,10 @@ __all__ = [
 # Relative singular-value threshold used for all numerical rank decisions.
 _RANK_REL_TOL = np.finfo(float).eps
 
-# zeta^2 below this fraction of xi^2 is snapped to 0, so cases that are
-# degenerate in exact arithmetic (transform determines the tested
-# coefficient) land on the indicator branch despite roundoff.
+# zeta^2 and |a|^2 below this fraction of xi^2 are snapped to 0, so cases
+# that are degenerate in exact arithmetic (transform determines the tested
+# coefficient, or carries none of it) land on the indicator or the constant
+# branch despite roundoff.
 _ZETA_REL_SNAP = 1e-12
 
 
@@ -216,9 +217,10 @@ class GaussianComponent:
     numerical rank (0 encodes a point mass at ``mean_shift``), decided by
     whoever builds the component (``order_fit`` for the mixtures) and read,
     never re-decided, by the kernels.  ``factor`` (k, rank), F F' =
-    ``covariance``, is the factorization the kernels read: the top ``rank``
-    eigenpairs, which must leave out no more than roundoff, or for the
-    mixtures the SVD factor of ``OrderFit``.
+    ``covariance``, is the factorization the kernels and the mixture
+    densities read: the top ``rank`` eigenpairs, which must leave out no more
+    than roundoff, or for the mixtures the SVD factor of ``OrderFit``.
+    Either way its columns are orthogonal.
     """
 
     mean_shift: np.ndarray
@@ -330,16 +332,19 @@ class OrderFit(NamedTuple):
     first p rows of ``order_operator``) and its p-th coefficient v'z[:p],
     v = e_p / L[p-1, p-1].  ``rank`` = rank(A[:, :p]) = rank(W), decided on A
     so that roundoff in W adds no direction.  ``F`` = V_r S_r from the SVD
-    W = U S V' factors W'W.  ``C`` = W'v is the covariance of fit and
-    coefficient over sigma^2, ``b`` = W^+ v the regression row of the
-    coefficient on the fit, and ``zeta_sq`` = xi_p^2 - b C the squared norm
-    of the part of v orthogonal to the columns of W (0 at rank p).  At p = 0:
-    W is 0 x k, F k x 0, C and b zero.
+    W = U S V' factors W'W: the fit is its mean plus sigma F w, w standard
+    normal, and the coefficient its mean plus sigma (a'w + zeta Z), Z an
+    independent standard normal, with ``a`` = (U'v)[:r] and ``zeta_sq`` =
+    |(U'v)[r:]|^2 (each snapped to 0 below 1e-12 xi_p^2).  ``C`` = W'v is
+    the covariance of fit and coefficient over sigma^2 and ``b`` = W^+ v
+    the regression row of the coefficient on the fit.  At p = 0: W is
+    0 x k, F k x 0, a empty, C and b zero.
     """
 
     W: np.ndarray
     rank: int
     F: np.ndarray
+    a: np.ndarray
     C: np.ndarray
     b: np.ndarray
     zeta_sq: float
@@ -356,16 +361,17 @@ def order_fit(L: np.ndarray, A: np.ndarray, W: np.ndarray, p: int) -> OrderFit:
     W = W[:p]
     k = W.shape[1]
     if p == 0:
-        return OrderFit(W, 0, np.zeros((k, 0)), np.zeros(k), np.zeros(k), 0.0)
+        return OrderFit(W, 0, np.zeros((k, 0)), np.zeros(0), np.zeros(k), np.zeros(k), 0.0)
     v = xi_from_factor(L, p) * np.eye(p)[-1]
     r = _numerical_rank(A[:, :p])
     U, s, Vt = np.linalg.svd(W)
     coords = U.T @ v
-    b = Vt[:r].T @ (coords[:r] / s[:r])
-    zeta_sq = float(coords[r:] @ coords[r:])
-    if zeta_sq < _ZETA_REL_SNAP * float(v @ v):
-        zeta_sq = 0.0
-    return OrderFit(W, r, Vt[:r].T * s[:r], W.T @ v, b, zeta_sq)
+    a, rest = coords[:r], coords[r:]
+    b = Vt[:r].T @ (a / s[:r])
+    snap = _ZETA_REL_SNAP * float(v @ v)
+    a = a if a @ a >= snap else np.zeros(r)
+    zeta_sq = float(rest @ rest) if rest @ rest >= snap else 0.0
+    return OrderFit(W, r, Vt[:r].T * s[:r], a, W.T @ v, b, zeta_sq)
 
 
 def conditional_quantities(design: RegressionDesign, target: TargetFunctional, p: int):

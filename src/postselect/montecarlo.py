@@ -201,6 +201,8 @@ def power_check_noncentral_t(
         raise ValueError("df must be >= 1")
     if R < 1:
         raise ValueError("R must be >= 1")
+    if math.isnan(ncp) or math.isnan(crit):
+        raise ValueError("ncp and crit must not be NaN")
     stream = Philox(key=int(seed))
     z = normals_from_stream(stream, R)
     chi = np.random.Generator(Philox(key=int(seed)).jumped(1)).chisquare(df, R)

@@ -107,6 +107,8 @@ def _outcome(design: RegressionDesign, family: SelectionFamily, Y, scale=None):
     if family.P != design.P:
         raise ValueError("family order range inconsistent with design")
     Y = np.atleast_1d(np.asarray(Y, dtype=float))
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
     t, scale = _tstats_and_scale(design, Y[None, :], scale)
     t = t[:, 0]
     return SelectionOutcome(
@@ -123,8 +125,8 @@ def select_model_known_sigma(
     Y, design: RegressionDesign, family: SelectionFamily, sigma: float
 ) -> SelectionOutcome:
     """Idealized selected order using the true error scale in the t-ratios."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     return _outcome(design, family, Y, scale=sigma)
 
 

@@ -463,12 +463,27 @@ class TestNearlyDependentTarget:
     second coordinate exceeds the first by more than 0.2 with vanishing
     probability.  The order-2 and order-3 components are then nearly
     singular, which a factor taken from the covariance W'W resolves only to
-    about eps / eps^2."""
+    about eps / eps^2, and a projection of z that reads the tested
+    coefficient has norm about 1 / eps; the fit's own loading does not."""
 
-    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
-    @pytest.mark.parametrize(
+    CDFS = pytest.mark.parametrize(
         "cdf", [ps.cdf_known_variance, ps.cdf_unknown_variance], ids=["known", "unknown"]
     )
+
+    @staticmethod
+    def _gap(cdf, design, rows, t, limit_rows, limit_t):
+        """|cdf at t of target ``rows`` - cdf at limit_t of ``limit_rows``| and
+        the sum of their error estimates, after checking both converged."""
+        family = ps.SelectionFamily(min_order=1, criticals=(2.0, 2.0))
+        params = ps.ParameterPoint(theta=np.array([0.5, 0.1, 0.0]), sigma=1.0)
+        got = cdf(design, family, ps.TargetFunctional(np.array(rows)), params, np.array(t))
+        want = cdf(design, family, ps.TargetFunctional(np.array(limit_rows)), params,
+                   np.array(limit_t))
+        assert want.converged and got.converged
+        return abs(got.value - want.value), got.err_est + want.err_est
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @CDFS
     def test_bivariate_cdf_tends_to_scalar_cdf(self, cdf, eps):
         design = synthetic_design(50, 3, 7)
         family = ps.SelectionFamily(min_order=1, criticals=(2.0, 2.0))
@@ -479,3 +494,24 @@ class TestNearlyDependentTarget:
         got = cdf(design, family, pair, params, np.array([0.3, 0.5]))
         assert want.converged and got.converged
         assert abs(got.value - want.value) <= got.err_est
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+    @CDFS
+    def test_trivariate_cdf_tends_to_bivariate_cdf(self, cdf, eps):
+        # the third row keeps the order-3 component of rank three (QMC)
+        gap, err = self._gap(
+            cdf, synthetic_design(50, 3, 7),
+            [[1.0, 0.0, 0.0], [1.0, eps, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.5, 0.4],
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.4],
+        )
+        assert gap <= err
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-12.0, -2.0))
+    def test_bivariate_cdf_tends_to_scalar_cdf_for_random_designs(self, seed, log_eps):
+        design = synthetic_design(50, 3, seed)
+        for cdf in (ps.cdf_known_variance, ps.cdf_unknown_variance):
+            gap, err = self._gap(
+                cdf, design, [[1.0, 0.0, 0.0], [1.0, 10.0**log_eps, 0.0]], [0.3, 0.5],
+                [[1.0, 0.0, 0.0]], [0.3],
+            )
+            assert gap <= err

@@ -420,22 +420,34 @@ class TestGaussianRegionProb:
         comp = GaussianComponent(mean_shift=mean, covariance=cov, rank=3)
         t = np.array([0.5, 0.2, 0.6])
         spec = QuadratureSpec(qmc_tol=0.5, qmc_initial=1 << 10)  # one pass
+        # g reads z through its coordinate sum only, so it may be evaluated
+        # at any point carrying the same sum
         g = lambda z: np.cos(z.sum(axis=1))
         seen = []
-        res = gaussian_region_prob(comp, t, lambda z: seen.append(z) or g(z), spec)
+        res = gaussian_region_prob(
+            comp, t, lambda z: seen.append(z) or g(z), spec, projection=np.ones(3)
+        )
         assert res.converged
-        assert all(np.all(z <= t) for z in seen)
-        assert sum(len(z) for z in seen) < spec.qmc_initial
         # the estimate of evaluating g on every point and masking afterwards
         per_batch = spec.qmc_initial // _QMC_BATCHES
         batch_means = []
+        inside_count = 0
         for b in range(_QMC_BATCHES):
             sob = qmc.Sobol(d=3, scramble=True, seed=np.random.default_rng(_QMC_ROOT_SEED + b))
             u = np.clip(sob.random(per_batch), 0.5**54, 1.0 - 0.5**54)
             z = mean + ndtri(u) @ comp.factor.T
-            vals = np.where(np.all(z <= t, axis=1), g(z), 0.0)
-            batch_means.append(vals.sum() / per_batch)
+            inside = np.all(z <= t, axis=1)
+            inside_count += int(inside.sum())
+            batch_means.append(np.where(inside, g(z), 0.0).sum() / per_batch)
+        assert sum(len(z) for z in seen) == inside_count < spec.qmc_initial
         assert abs(res.value - np.mean(batch_means)) <= 1e-15
+
+    def test_integrand_needs_projection_at_rank_two(self):
+        # the integrand is evaluated on the line that carries its projection,
+        # so at rank two or more it must say which projection it reads
+        comp = GaussianComponent(mean_shift=np.zeros(2), covariance=np.eye(2), rank=2)
+        with pytest.raises(ValueError, match="needs its projection"):
+            gaussian_region_prob(comp, np.zeros(2), lambda z: np.ones(len(z)))
 
     @pytest.mark.parametrize(
         "cov, rank, t",

@@ -331,6 +331,21 @@ class TestWorkPerEvaluation:
         assert comp.factor.shape == (2, 2)
         assert counts == {"solve": 1, "eigh": 0}
 
+    def test_density_makes_no_cholesky(self, monkeypatch):
+        # each order's density reads its component's factor: no second
+        # factorization of the covariance
+        design, _, target, params = self._p10_problem()
+        family = ps.SelectionFamily(min_order=2, criticals=(1.96,) * 8)
+        assert design.factor.shape == (10, 10)  # the Gram factor, made once beforehand
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda *args: calls.append(args) or cholesky(*args)
+        )
+        res = ps.density_known_variance(design, family, target, params, np.array([0.2, -0.1]))
+        assert res.value > 0.0
+        assert calls == []
+
 
 class TestDesignConstruction:
     def test_design_from_gram_exact(self):

@@ -299,6 +299,13 @@ class TestNoncentralTPower:
         with pytest.raises(ValueError):
             ps.power_check_noncentral_t(5, 1.0, 2.0, 0)
 
+    @pytest.mark.parametrize("ncp, crit", [(np.nan, 2.0), (1.0, np.nan)])
+    def test_nan_argument_rejected(self, ncp, crit):
+        # every comparison with a NaN threshold is False, so the estimate
+        # would read 0.0
+        with pytest.raises(ValueError, match="must not be NaN"):
+            ps.power_check_noncentral_t(5, ncp, crit, 10)
+
 
 def per_row_report_csv(report, path, meta=None):
     """Reference writer: one ``format(x, ".17g")`` per value, row by row."""

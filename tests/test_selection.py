@@ -109,6 +109,24 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             ps.select_model_known_sigma(np.zeros(design.n), design, family, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, classic_components, bad):
+        # a NaN or inf response has no t-ratios; it must not select min_order
+        design, family, _, params = classic_components
+        y = np.ones(design.n)
+        y[2] = bad
+        with pytest.raises(ValueError, match="Y must be finite"):
+            ps.select_model(y, design, family)
+        with pytest.raises(ValueError, match="Y must be finite"):
+            ps.select_model_known_sigma(y, design, family, params.sigma)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, classic_components, sigma):
+        # sigma = inf would read every t-ratio as 0
+        design, family, _, _ = classic_components
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ps.select_model_known_sigma(np.ones(design.n), design, family, sigma)
+
     def test_gram_only_design_rejected(self):
         # observed responses need the regressor matrix, which a design given
         # by its Gram matrix does not have
